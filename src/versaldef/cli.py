@@ -197,10 +197,9 @@ def _cmd_emit(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     n_range = tuple(args.n) if args.n else None
-    reports = [verify.run_suite(nm, n_range, budget, seed=args.seed) for nm in names]
+    reports = [verify.run_suite(nm, n_range, args.budget, seed=args.seed) for nm in names]
 
     for rep in reports:
         for c in rep.checks:
@@ -320,16 +319,15 @@ def _cmd_groebner(args, out) -> int:
         raise ValueError(f"no polynomials in {args.file}")
     reg = _infer_registry(lines)
     polys = [parse(ln, reg) for ln in lines]
-    budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
     ideal = Ideal(reg, polys)
     if args.eliminate:
         drop = [v.strip() for v in args.eliminate.split(",") if v.strip()]
-        result = eliminate(ideal, drop, budget)
+        result = eliminate(ideal, drop, args.budget)
         reg, gens = result.registry, list(result.generators)
         label = {"eliminated": drop}
     else:
         order = LEX if args.order == "lex" else DEGREVLEX
-        gb = buchberger(ideal, order, budget)
+        gb = buchberger(ideal, order, args.budget)
         reg, gens = gb.registry, list(gb.basis)
         label = {"order": args.order}
     payload = dict(label)
@@ -437,6 +435,11 @@ def _apply_config(args) -> None:
             setattr(args, key, config.get(key, defaults[key]))
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
+    if args.seed is not None and type(args.seed) is not int:
+        raise ValueError(f"seed must be an integer or null, got {args.seed!r}")
+    if args.out is not None and not isinstance(args.out, str):
+        raise ValueError(f"out must be a file name or null, got {args.out!r}")
+    args.budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

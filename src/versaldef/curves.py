@@ -30,7 +30,7 @@ from .groebner import (
     normal_form,
 )
 from .linalg import SparseEliminator
-from .poly import Polynomial, VarRegistry, build_registry, substitute
+from .poly import Polynomial, VarRegistry, build_registry
 
 __all__ = [
     "LINES_GENERIC",
@@ -186,6 +186,17 @@ class RelationFamily:
     expected_rank: int
 
 
+def _relation_quadruples(n: int) -> List[Tuple[int, int, int, int]]:
+    """The quadruples (i, k, j, l) indexing the distinguished relations:
+    i < k, j < l, all four distinct."""
+    out = []
+    for i, k in itertools.combinations(range(1, n + 1), 2):
+        rest = [m for m in range(1, n + 1) if m not in (i, k)]
+        for j, l in itertools.combinations(rest, 2):
+            out.append((i, k, j, l))
+    return out
+
+
 def relations(n: int) -> RelationFamily:
     if n < 4:
         raise ValueError("relation family needs n >= 4")
@@ -196,11 +207,7 @@ def relations(n: int) -> RelationFamily:
     def ppos(i: int, j: int) -> int:
         return pair_pos[(i, j) if i < j else (j, i)]
 
-    quadruples = []
-    for i, k in itertools.combinations(range(1, n + 1), 2):
-        rest = [m for m in range(1, n + 1) if m not in (i, k)]
-        for j, l in itertools.combinations(rest, 2):
-            quadruples.append((i, k, j, l))
+    quadruples = _relation_quadruples(n)
 
     vectors = []
     elim = SparseEliminator()

@@ -17,6 +17,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import SparseEliminator
@@ -31,7 +32,6 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    mono_weighted_degree,
     weighted_degree,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "GroebnerBasis",
     "buchberger",
     "normal_form",
-    "reduce_terms",
     "contains",
     "ideal_equal",
     "eliminate",
@@ -163,6 +162,12 @@ class Budget:
     max_pairs: int = 2_000_000
     max_terms: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        for name in ("max_pairs", "max_terms"):
+            limit = getattr(self, name)
+            if type(limit) is not int or limit < 1:
+                raise ValueError(f"budget {name} must be an integer >= 1, got {limit!r}")
+
 
 DEFAULT_BUDGET = Budget()
 
@@ -206,16 +211,21 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The reduced Groebner basis of an ideal for a fixed order."""
+    """The reduced Groebner basis of an ideal for a fixed order.  Its
+    leading monomials are computed once, on first use."""
 
     registry: VarRegistry
     order: MonomialOrder
     basis: tuple
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def leading_monomials(self) -> tuple:
+    @cached_property
+    def _lts(self) -> tuple:
         key = _KeyCache(self.order, self.registry)
         return tuple(max(p.terms, key=key) for p in self.basis)
+
+    def leading_monomials(self) -> tuple:
+        return self._lts
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +422,22 @@ class _Engine:
             rem, quot = _reduce_terms(
                 s, self.lts, self.polys, self.key, self.budget, self.record
             )
+            row: Dict[int, dict] = {}
+            if self.record:
+                row = _row_scale_shift(self.rows[i], ui, Fraction(1))
+                _row_sub(row, _row_scale_shift(self.rows[j], uj, Fraction(1)))
+                for k, qd in quot.items():
+                    for qm, qc in qd.items():
+                        _row_sub(row, _row_scale_shift(self.rows[k], qm, qc))
             if rem:
-                row: Dict[int, dict] = {}
-                if self.record:
-                    row = _row_scale_shift(self.rows[i], ui, Fraction(1))
-                    _row_sub(row, _row_scale_shift(self.rows[j], uj, Fraction(1)))
-                    for k, qd in quot.items():
-                        for qm, qc in qd.items():
-                            _row_sub(row, _row_scale_shift(self.rows[k], qm, qc))
                 new = self._push(rem, row)
                 for k in range(new):
                     lcm = mono_lcm(self.lts[k], self.lts[new])
                     heapq.heappush(pq, (mono_degree(lcm), k, new))
             else:
                 self.stats["zero_reductions"] += 1
-                if self.record:
-                    row = _row_scale_shift(self.rows[i], ui, Fraction(1))
-                    _row_sub(row, _row_scale_shift(self.rows[j], uj, Fraction(1)))
-                    for k, qd in quot.items():
-                        for qm, qc in qd.items():
-                            _row_sub(row, _row_scale_shift(self.rows[k], qm, qc))
-                    if row:
-                        self.syzygy_rows.append(row)
+                if row:
+                    self.syzygy_rows.append(row)
         self.stats["pairs_processed"] = pops
         self.stats["basis_size_raw"] = len(self.lts)
 
@@ -484,19 +488,14 @@ def buchberger(
     return GroebnerBasis(ideal.registry, order, polys, dict(eng.stats))
 
 
-def reduce_terms(p: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
-    key = _KeyCache(gb.order, gb.registry)
-    lts = [max(q.terms, key=key) for q in gb.basis]
-    polys = [q.terms for q in gb.basis]
-    rem, _ = _reduce_terms(dict(p.terms), lts, polys, key, budget)
-    return Polynomial._raw(gb.registry, rem)
-
-
 def normal_form(p: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
     """Complete normal form of p against the basis; 0 iff p is a member."""
     if p.reg != gb.registry:
         raise ValueError("polynomial and basis live over different registries")
-    return reduce_terms(p, gb, budget)
+    polys = [q.terms for q in gb.basis]
+    key = _KeyCache(gb.order, gb.registry)
+    rem, _ = _reduce_terms(dict(p.terms), gb._lts, polys, key, budget)
+    return Polynomial._raw(gb.registry, rem)
 
 
 def contains(gb: GroebnerBasis, p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -512,9 +511,7 @@ def ideal_equal(
     """Exact ideal equality via coincidence of reduced bases."""
     if a.registry != b.registry:
         raise ValueError("ideals live over different registries")
-    ga = buchberger(a, order, budget)
-    gb = buchberger(b, order, budget)
-    return [p.terms for p in ga.basis] == [p.terms for p in gb.basis]
+    return buchberger(a, order, budget) == buchberger(b, order, budget)
 
 
 def eliminate(
@@ -550,7 +547,7 @@ def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Internal consistency pass: every S-polynomial of the final basis
     reduces to zero against it."""
     key = _KeyCache(gb.order, gb.registry)
-    lts = [max(q.terms, key=key) for q in gb.basis]
+    lts = gb._lts
     polys = [q.terms for q in gb.basis]
     for i, j in itertools.combinations(range(len(lts)), 2):
         lcm = mono_lcm(lts[i], lts[j])

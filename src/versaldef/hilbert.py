@@ -10,10 +10,10 @@ Krull dimension, the multiplicity h(1) and the h-vector are read off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .groebner import GroebnerBasis
-from .poly import Mono, VarRegistry, weighted_degree
+from .poly import Mono, weighted_degree
 
 __all__ = ["HilbertData", "hilbert_data", "hilbert_function_values", "krull_dimension_of_monomials"]
 
@@ -89,10 +89,6 @@ class HilbertData:
     multiplicity: int
     h_vector: tuple
     numerator: tuple
-
-
-def _mono_support_map(m: Mono) -> Dict[int, int]:
-    return dict(m)
 
 
 def _interreduce_monomials(gens: List[Dict[int, int]]) -> List[Dict[int, int]]:
@@ -177,7 +173,7 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
                 f"offending element: {p}"
             )
     weights = reg.weights
-    lead = [_mono_support_map(m) for m in gb.leading_monomials()]
+    lead = [dict(m) for m in gb.leading_monomials()]
     num = _numerator(lead, weights, {})
 
     # divide off the non-(1-T) parts of the denominator
@@ -202,13 +198,11 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
     )
 
 
-def hilbert_function_values(data: HilbertData, nvars_dropped: int, upto: int) -> List[int]:
+def hilbert_function_values(data: HilbertData, upto: int) -> List[int]:
     """Values of the Hilbert function predicted by the reduced series.
 
     Expands numerator / (1-T)^dimension as a power series up to degree
-    ``upto`` (inclusive).  ``nvars_dropped`` is unused dimensional
-    bookkeeping kept for clarity of call sites; the expansion only needs
-    the reduced data.
+    ``upto`` (inclusive).
     """
     d = data.dimension
     vals = [0] * (upto + 1)

@@ -255,6 +255,22 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("config", [{"spair_budget": "10"}, {"seed": "abc"}, {"out": 5}])
+def test_config_rejects_mistyped_values(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "--config", str(cfg), "verify", "identities", "--n", "4", "4")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_verify_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "verify", "identities", "--n", "4", "4", "--spair-budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max_pairs" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "versaldef", "invariants", "L", "6"],

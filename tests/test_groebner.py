@@ -109,6 +109,14 @@ def test_block_order_prioritizes_dropped_block():
     assert REG.position("y") in dict(lead)
 
 
+@pytest.mark.parametrize("limit", [0, -1, "10", 10.0, True])
+def test_budget_rejects_bad_limits(limit):
+    with pytest.raises(ValueError):
+        Budget(max_pairs=limit)
+    with pytest.raises(ValueError):
+        Budget(max_terms=limit)
+
+
 def test_budget_exceeded_raises():
     tight = Budget(max_pairs=1, max_terms=2)
     gens = [_p("z1*z2 - y"), _p("z1*z3 - y"), _p("z2*z3 - y")]

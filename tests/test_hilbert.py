@@ -34,7 +34,7 @@ def _standard_count(reg, leads, d):
 def _series_matches_count(reg, gens, upto=8):
     gb = buchberger(Ideal(reg, gens))
     data = hilbert_data(gb)
-    vals = hilbert_function_values(data, 0, upto)
+    vals = hilbert_function_values(data, upto)
     leads = gb.leading_monomials()
     expect = [_standard_count(reg, leads, d) for d in range(upto + 1)]
     assert vals == expect, (vals, expect, data)

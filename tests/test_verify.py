@@ -1,9 +1,13 @@
 """The verification suites as a system: anchor discipline, failure
-injection, budget handling, and determinism."""
+injection, budget handling, determinism, and which Groebner bases a
+suite computes."""
+
+import hashlib
+import sys
 
 import pytest
 
-from versaldef import versal
+from versaldef import groebner, versal
 from versaldef.groebner import Budget
 from versaldef.report import FAIL, PASS, SKIPPED_BUDGET
 from versaldef.verify import ANCHORS, DEFAULT_RANGES, SUITES, _run, run_suite
@@ -125,3 +129,51 @@ def test_unseeded_runs_are_byte_identical():
     rep1 = run_suite("identities", (4, 4))
     rep2 = run_suite("identities", (4, 4))
     assert rep1.to_json() == rep2.to_json()
+
+
+# sha256 of the canonical JSON of each suite at its default range; a
+# change that only makes the engine faster or leaner must leave every
+# report byte-identical
+CANONICAL_SHA256 = {
+    "axes": "f5585f31a4a3c3e736686505077654988bed0d86fbdbff4423aaf4750253bf36",
+    "base-geometry": "b428f540a5182929a9314e4d37a5ddc714e3d76d3f1eae84f63dd0fd7ba7b8a2",
+    "flatness": "e31c9553184008e62e59bc3bf7d875afafbba58c21b719292ac6e3ef4de47e92",
+    "induction": "85a5dd4193b6a5415402222c82049e983e0b57d5fa24bf26ba770689e46b7450",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CANONICAL_SHA256))
+def test_canonical_report_is_pinned(suite):
+    text = run_suite(suite).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[suite]
+
+
+def _record_buchberger(monkeypatch):
+    """Route every package-level binding of ``buchberger`` through a
+    wrapper that records the ideal of each call."""
+    orig = groebner.buchberger
+    calls = []
+
+    def recording(ideal, *args, **kwargs):
+        calls.append(ideal)
+        return orig(ideal, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("versaldef") and getattr(mod, "buchberger", None) is orig:
+            monkeypatch.setattr(mod, "buchberger", recording)
+    return calls
+
+
+def test_base_basis_is_computed_once(monkeypatch):
+    versal._base_gb.cache_clear()
+    calls = _record_buchberger(monkeypatch)
+    assert run_suite("base-geometry", (6, 6)).ok
+    assert run_suite("induction", (6, 6)).ok
+    base = versal.base_ideal(6, minimal=True)
+    assert sum(ideal == base for ideal in calls) == 1
+
+
+def test_axes_report_needs_no_groebner_basis(monkeypatch):
+    calls = _record_buchberger(monkeypatch)
+    assert versal.axes_family_report(5).ok
+    assert calls == []

@@ -6,11 +6,13 @@ Each identity check comes with a mutation guard: a deliberately
 perturbed version of the expression must fail, so a vacuous checker
 cannot pass silently."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from versaldef import versal
 from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
 from versaldef.poly import Polynomial, build_registry, parse, substitute
 from versaldef.versal import (
@@ -303,6 +305,19 @@ def test_axes_family(n):
     assert rep.t1_dimension == n * (n - 2)
     family = axes_versal_family(n)
     assert len(family.total) == n * (n - 1) // 2
+
+
+def test_axes_family_mutation_guard(monkeypatch):
+    honest = axes_versal_family(5)
+    reg = honest.parameters
+    base = list(honest.base.generators)
+    base[7] = base[7] + Polynomial.var(reg, "a_1_2") * Polynomial.var(reg, "a_3_4")
+    perturbed = dataclasses.replace(honest, base=Ideal(reg, base))
+    monkeypatch.setattr(versal, "axes_versal_family", lambda n: perturbed)
+    rep = axes_family_report(5)
+    assert rep.zero_fiber_ok
+    assert not rep.k_independence_ok
+    assert not rep.ok
 
 
 # ---------------------------------------------------------------------------
