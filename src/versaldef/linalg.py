@@ -1,57 +1,72 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over Q on integer rows.
 
-Rows are kept as sparse dicts column -> Fraction.  Everything here is
-deterministic: pivots are always chosen as the smallest column index of
-the row being processed, and rows are processed in input order.
+``SparseEliminator`` takes sparse rows (dicts column -> int or Fraction),
+clears each row's denominators on entry and then works on integers only,
+by fraction-free cross-multiplication in the sense of Bareiss (Math.
+Comp. 22, 1968); the ranks it reports are exact ranks over Q.
+``solve_dense`` works on Fractions, since the solution it returns is
+rational.  Everything here is deterministic: pivots are always chosen as
+the smallest column index of the row being processed, and rows are
+processed in input order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-Row = Dict[int, Fraction]
-
-
-def _scale(row: Row, c: Fraction) -> Row:
-    return {k: v * c for k, v in row.items()}
+Row = Dict[int, Union[int, Fraction]]
+IntRow = Dict[int, int]
 
 
-def _axpy(row: Row, c: Fraction, other: Row) -> Row:
-    """row + c * other, dropping zeros."""
-    out = dict(row)
-    for k, v in other.items():
-        acc = out.get(k)
-        if acc is None:
-            out[k] = c * v
-        else:
-            acc = acc + c * v
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-    return out
+def _integer_row(row: Row) -> IntRow:
+    """A fresh copy of ``row`` times the lcm of its denominators, without
+    zero entries."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
 class SparseEliminator:
-    """Incremental Gaussian elimination; feed rows, read off the rank.
+    """Incremental fraction-free Gaussian elimination; feed rows, read
+    off the rank.
 
-    Pivot rows are stored normalised (pivot coefficient 1) and fully
-    reduced against each other is not required for rank purposes, so we
-    only do forward elimination.
+    Each pivot is a primitive integer row (content 1) with a positive
+    entry in its leading column.  Only forward elimination is done,
+    which is all the rank needs.
     """
 
     def __init__(self) -> None:
-        self.pivots: Dict[int, Row] = {}
+        self.pivots: Dict[int, IntRow] = {}
 
-    def reduce(self, row: Row) -> Row:
-        row = dict(row)
+    def reduce(self, row: Row) -> IntRow:
+        """Forward-eliminate ``row`` against the pivots.
+
+        Returns a new dict: the residue over Q times a positive integer,
+        with integer entries.  It is empty iff ``row`` lies in the span
+        of the rows added so far.  ``row`` itself is left unchanged.
+        """
+        row = _integer_row(row)
+        pivots = self.pivots
         while row:
             lead = min(row)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
-                return row
-            row = _axpy(row, -row[lead], piv)
+                break
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            # row <- a*row - b*piv; a > 0 because pivot leads are positive
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in piv.items():
+                acc = row.get(k, 0) - b * v
+                if acc:
+                    row[k] = acc
+                else:
+                    del row[k]
         return row
 
     def add(self, row: Row) -> bool:
@@ -60,7 +75,12 @@ class SparseEliminator:
         if not red:
             return False
         lead = min(red)
-        self.pivots[lead] = _scale(red, Fraction(1, 1) / red[lead])
+        g = gcd(*red.values())
+        if red[lead] < 0:
+            g = -g
+        if g != 1:
+            red = {k: v // g for k, v in red.items()}
+        self.pivots[lead] = red
         return True
 
     @property
@@ -123,7 +143,4 @@ def solve_dense(
 
 
 def dense_rank(matrix: List[List[Fraction]]) -> int:
-    rows = []
-    for row in matrix:
-        rows.append({j: v for j, v in enumerate(row) if v})
-    return rank(rows)
+    return rank(dict(enumerate(row)) for row in matrix)

@@ -496,7 +496,7 @@ def t1_compute(n: int) -> T1Result:
 
     elim1 = SparseEliminator()
     for row in rows1:
-        elim1.add(dict(row))
+        elim1.add(row)
     nunk1 = len(pairs) * n
     solution_dim1 = nunk1 - elim1.rank
 
@@ -515,7 +515,7 @@ def t1_compute(n: int) -> T1Result:
     trivial_in_solutions = all(_dot(row, v) == 0 for v in trivial1 for row in rows1)
     telim = SparseEliminator()
     for v in trivial1:
-        telim.add(dict(v))
+        telim.add(v)
     trivial_rank1 = telim.rank
 
     candidates = []
@@ -523,7 +523,7 @@ def t1_compute(n: int) -> T1Result:
         candidates.append({pos[(p, q)] * n + p - 1: Fraction(1), pos[(p, q)] * n + q - 1: Fraction(-1)})
     candidates_in_solutions = all(_dot(row, v) == 0 for v in candidates for row in rows1)
     for v in candidates:
-        telim.add(dict(v))
+        telim.add(v)
     independent = telim.rank == trivial_rank1 + len(pairs)
 
     dim1 = solution_dim1 - trivial_rank1
@@ -544,7 +544,7 @@ def t1_compute(n: int) -> T1Result:
                 rows2.append(row)
     elim2 = SparseEliminator()
     for row in rows2:
-        elim2.add(dict(row))
+        elim2.add(row)
     solution_dim2 = len(pairs) - elim2.rank
     shift_y = {pos[p]: Fraction(-1) for p in pairs}  # y -> y + constant
     shift_ok = all(_dot(row, shift_y) == 0 for row in rows2)

@@ -2,11 +2,14 @@
 formats, exit codes, config files, and error paths."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import versaldef
 from versaldef import versal
 from versaldef.cli import main
 
@@ -272,10 +275,15 @@ def test_verify_rejects_negative_budget(capsys):
 
 
 def test_module_entry_point():
+    # the child must import the same package as this process, also when
+    # pytest itself put the source tree on sys.path
+    src = str(Path(versaldef.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "versaldef", "invariants", "L", "6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "delta 6, r 6, mu 7, g 1, dimT1 10, dimT2 5\n"

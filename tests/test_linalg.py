@@ -1,8 +1,10 @@
 """Sparse elimination against a dense rational oracle."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from versaldef.linalg import SparseEliminator, dense_rank, in_span, rank, solve_dense
 
@@ -75,3 +77,73 @@ def test_solve_dense_inconsistent_returns_none():
 def test_dense_rank_small():
     assert dense_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert dense_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([{0: Fraction(0)}], 0),
+        ([{0: Fraction(0), 1: Fraction(1)}], 1),
+        ([{3: Fraction(0)}, {3: Fraction(2)}], 1),
+    ],
+)
+def test_rank_ignores_explicit_zero_entries(rows, expected):
+    assert rank(rows) == expected
+
+
+def test_zero_vector_is_in_span():
+    elim = SparseEliminator()
+    elim.add({0: Fraction(1), 2: Fraction(3)})
+    assert in_span({1: Fraction(0)}, elim)
+
+
+def test_add_and_reduce_leave_the_argument_unchanged():
+    elim = SparseEliminator()
+    first = {0: Fraction(2, 3), 1: Fraction(0), 4: Fraction(-5, 7)}
+    second = {0: Fraction(1, 2), 3: Fraction(6)}
+    third = {0: Fraction(3), 4: 9}
+    for row in (first, second, third):
+        before = dict(row)
+        elim.add(row)
+        elim.reduce(row)
+        assert row == before
+        assert all(type(row[k]) is type(before[k]) for k in row)
+
+
+big_row_strategy = st.dictionaries(
+    st.integers(0, 9),
+    st.one_of(
+        st.integers(-10**12, 10**12),
+        st.fractions(min_value=-10**12, max_value=10**12, max_denominator=97),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(big_row_strategy, max_size=12))
+def test_rank_matches_dense_oracle_on_large_entries(rows):
+    assert rank(rows) == _dense_rank_oracle(rows, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(row_strategy, min_size=1, max_size=5), row_strategy)
+def test_in_span_rejects_non_members(rows, candidate):
+    assume(_dense_rank_oracle(rows + [candidate], 6) > _dense_rank_oracle(rows, 6))
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add(r)
+    assert not in_span(candidate, elim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(big_row_strategy, max_size=12))
+def test_pivots_are_primitive_integer_rows(rows):
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add(r)
+    for lead, piv in elim.pivots.items():
+        assert lead == min(piv)
+        assert all(type(v) is int and v for v in piv.values())
+        assert piv[lead] > 0
+        assert math.gcd(*piv.values()) == 1

@@ -137,8 +137,13 @@ def test_unseeded_runs_are_byte_identical():
 CANONICAL_SHA256 = {
     "axes": "f5585f31a4a3c3e736686505077654988bed0d86fbdbff4423aaf4750253bf36",
     "base-geometry": "b428f540a5182929a9314e4d37a5ddc714e3d76d3f1eae84f63dd0fd7ba7b8a2",
+    "counts": "9afaa73d8cc32e33670c3facdb551a53393f0f5f8d77ef5fd2e3044f1fd6fe6f",
     "flatness": "e31c9553184008e62e59bc3bf7d875afafbba58c21b719292ac6e3ef4de47e92",
+    "identities": "c660029c8c3721176a882466713b873c7c0303533f8d168881e1b8daa25d436c",
     "induction": "85a5dd4193b6a5415402222c82049e983e0b57d5fa24bf26ba770689e46b7450",
+    "monomial": "06465d89c343ecefc27795769ea694c51633a7c611491ed54f43769d4909733c",
+    "smoothings": "cda2039fad87378179d0283fcfcee55cf985a83b8548f460803cd54d25730815",
+    "t1t2": "71b6800aa45eef2cfdfffa3f2946e4ad086981c56e27097d89a6ea411bf3e1da",
 }
 
 
