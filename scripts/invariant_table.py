@@ -16,12 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from versaldef.curves import (
-    elliptic_t1_formula,
-    linear_relation_formula,
-    minimal_generator_formula,
-    relations,
-)
+from versaldef.curves import linear_relation_formula, minimal_generator_formula, relations
 from versaldef.groebner import buchberger
 from versaldef.hilbert import hilbert_data
 from versaldef.versal import base_ideal, t1_compute, t2_dimension
@@ -45,9 +40,7 @@ def main(argv=None) -> int:
         gens = minimal_generator_formula(n)
         rel = relations(n).rank
         assert rel == linear_relation_formula(n)
-        # up to n = 6 the T1 computation is cheap enough to run live;
-        # beyond that the closed formula stands in
-        t1 = t1_compute(n).dimension if n <= 6 else elliptic_t1_formula(n, n + 1)
+        t1 = t1_compute(n).dimension
         t2 = t2_dimension(n)
         row = [f"{n:9d}", f"{gens:9d}", f"{rel:9d}", f"{t1:9d}", f"{t2:9d}"]
         if not args.skip_geometry:

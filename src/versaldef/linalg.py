@@ -99,6 +99,22 @@ def in_span(row: Row, elim: SparseEliminator) -> bool:
     return not elim.reduce(row)
 
 
+def in_kernel(vec: Row, elim: SparseEliminator) -> bool:
+    """True iff ``vec`` has dot product zero with every row added to
+    ``elim``.
+
+    The pivots are enough to decide this: each pivot is a combination of
+    rows added, and each row added is a combination of pivots (a row that
+    did not raise the rank reduced to zero against them), so the pivots
+    span the row space of everything added, and a vector orthogonal to
+    a spanning set is orthogonal to the whole space.
+    """
+    return all(
+        sum(c * piv.get(k, 0) for k, c in vec.items()) == 0
+        for piv in elim.pivots.values()
+    )
+
+
 def solve_dense(
     matrix: List[List[Fraction]], rhs: List[Fraction]
 ) -> Optional[List[Fraction]]:

@@ -25,6 +25,7 @@ from .curves import (
     line_generator,
     lines_ideal,
     lines_registry,
+    relations,
 )
 from .groebner import (
     Budget,
@@ -37,8 +38,10 @@ from .groebner import (
     ideal_equal,
     normal_form,
 )
-from .linalg import SparseEliminator, dense_rank, solve_dense
-from .poly import Polynomial, VarRegistry, build_registry, parse, substitute
+from .linalg import SparseEliminator, dense_rank, in_kernel, solve_dense
+from .poly import (
+    MONO_ONE, Mono, Polynomial, VarRegistry, build_registry, mono_mul, parse, substitute,
+)
 
 __all__ = [
     "DIAGONAL",
@@ -433,21 +436,34 @@ def _lines_gb(n: int) -> GroebnerBasis:
     return buchberger(lines_ideal(n))
 
 
-def _slot_multipliers(i: int, k: int, j: int, l: int):
-    """The four (pair, multiplier index, sign) slots of the relation
-    z_k(g_ij - g_il) - z_i(g_kj - g_kl)."""
-    return (
-        ((i, j), k, 1),
-        ((i, l), k, -1),
-        ((k, j), i, -1),
-        ((k, l), i, 1),
-    )
+def _lifting_conditions(
+    vectors: Sequence[Sequence[Polynomial]], shifts: Sequence[Mono], gb: GroebnerBasis
+) -> SparseEliminator:
+    """The first-order lifting conditions of one weight, eliminated.
 
-
-def _dot(row: Mapping[int, Fraction], vec: Mapping[int, Fraction]) -> Fraction:
-    if len(vec) < len(row):
-        row, vec = vec, row
-    return sum((c * vec[u] for u, c in row.items() if u in vec), Fraction(0))
+    The unknown in column p*len(shifts) + s is the coefficient of the
+    monomial shifts[s] in the perturbation of generator p.  A relation
+    vector r lifts iff sum_p r_p * perturbation_p reduces to zero modulo
+    the ideal of ``gb``; each monomial of that normal form is one linear
+    condition on the unknowns.
+    """
+    elim = SparseEliminator()
+    nf: Dict[Mono, dict] = {}
+    for vec in vectors:
+        cond: Dict[Mono, Dict[int, Fraction]] = {}
+        for p, entry in enumerate(vec):
+            for mono, c in entry.terms.items():
+                for s, shift in enumerate(shifts):
+                    prod = mono_mul(mono, shift)
+                    if prod not in nf:
+                        nf[prod] = normal_form(Polynomial(gb.registry, {prod: 1}), gb).terms
+                    u = p * len(shifts) + s
+                    for m, d in nf[prod].items():
+                        row = cond.setdefault(m, {})
+                        row[u] = row.get(u, 0) + c * d
+        for row in cond.values():
+            elim.add(row)
+    return elim
 
 
 @lru_cache(maxsize=None)
@@ -457,97 +473,54 @@ def t1_compute(n: int) -> T1Result:
     out the coordinate-change directions, and certify the standard
     basis G_ij = z_i*z_j - y + a_ij*(z_i - z_j).
 
-    The linear system splits by weight: z-perturbations sit in weighted
-    degree -1 and constant perturbations in degree -2, and the lifting
-    conditions never mix the two, so the parts are solved separately.
+    The conditions come from lifting the distinguished relations
+    (``curves.relations``).  The linear system splits by weight:
+    z-perturbations sit in weighted degree -1 and constant perturbations
+    in degree -2, and the lifting conditions never mix the two, so the
+    parts are solved separately.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     reg = lines_registry(n)
     gb = _lines_gb(n)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    pos = {p: c for c, p in enumerate(pairs)}
-    quads = _relation_quadruples(n)
+    fam = relations(n)
+    pairs = fam.pairs
+    npairs = len(pairs)
 
-    prod_nf = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            prod_nf[(a, b)] = normal_form(_zv(reg, a) * _zv(reg, b), gb)
-
-    def pair_pos(p: int, q: int) -> int:
-        return pos[(p, q) if p < q else (q, p)]
-
-    # weighted degree -1: unknowns are coefficients of z_m in each slot
-    rows1: List[Dict[int, Fraction]] = []
-    for (i, k, j, l) in quads:
-        cond: Dict[tuple, Dict[int, Fraction]] = {}
-        for (p, q), mult, sgn in _slot_multipliers(i, k, j, l):
-            base_col = pair_pos(p, q) * n
-            for m in range(1, n + 1):
-                nf = prod_nf[(mult, m) if mult <= m else (m, mult)]
-                for mono, c in nf.terms.items():
-                    d = cond.setdefault(mono, {})
-                    u = base_col + m - 1
-                    d[u] = d.get(u, Fraction(0)) + sgn * c
-        for raw in cond.values():
-            row = {u: c for u, c in raw.items() if c}
-            if row:
-                rows1.append(row)
-
-    elim1 = SparseEliminator()
-    for row in rows1:
-        elim1.add(row)
-    nunk1 = len(pairs) * n
+    # weighted degree -1: column c*n + m-1 is the coefficient of z_m in
+    # the perturbation of the generator of pair c
+    elim1 = _lifting_conditions(
+        fam.vectors, [((reg.position(f"z{m}"), 1),) for m in range(1, n + 1)], gb
+    )
+    nunk1 = npairs * n
     solution_dim1 = nunk1 - elim1.rank
 
-    trivial1: List[Dict[int, Fraction]] = []
-    for m in range(1, n + 1):  # y -> y + z_m
-        trivial1.append({pos[p] * n + m - 1: Fraction(-1) for p in pairs})
-    for i in range(1, n + 1):  # z_i -> z_i + 1
-        vec: Dict[int, Fraction] = {}
-        for (p, q) in pairs:
-            if p == i:
-                vec[pos[(p, q)] * n + q - 1] = Fraction(1)
-            elif q == i:
-                vec[pos[(p, q)] * n + p - 1] = Fraction(1)
-        trivial1.append(vec)
+    # y -> y + z_m moves every generator by -z_m; z_i -> z_i + 1 moves
+    # the generator of a pair (p, q) containing i by z_j, j = p + q - i
+    trivial1 = [{c * n + m - 1: -1 for c in range(npairs)} for m in range(1, n + 1)]
+    for i in range(1, n + 1):
+        trivial1.append(
+            {c * n + p + q - i - 1: 1 for c, (p, q) in enumerate(pairs) if i in (p, q)}
+        )
+    candidates = [{c * n + p - 1: 1, c * n + q - 1: -1} for c, (p, q) in enumerate(pairs)]
+    trivial_in_solutions = all(in_kernel(v, elim1) for v in trivial1)
+    candidates_in_solutions = all(in_kernel(v, elim1) for v in candidates)
 
-    trivial_in_solutions = all(_dot(row, v) == 0 for v in trivial1 for row in rows1)
     telim = SparseEliminator()
     for v in trivial1:
         telim.add(v)
     trivial_rank1 = telim.rank
-
-    candidates = []
-    for (p, q) in pairs:
-        candidates.append({pos[(p, q)] * n + p - 1: Fraction(1), pos[(p, q)] * n + q - 1: Fraction(-1)})
-    candidates_in_solutions = all(_dot(row, v) == 0 for v in candidates for row in rows1)
     for v in candidates:
         telim.add(v)
-    independent = telim.rank == trivial_rank1 + len(pairs)
+    independent = telim.rank == trivial_rank1 + npairs
 
     dim1 = solution_dim1 - trivial_rank1
 
-    # weighted degree -2: unknowns are the constant slot perturbations
-    rows2: List[Dict[int, Fraction]] = []
-    for (i, k, j, l) in quads:
-        cond2: Dict[tuple, Dict[int, Fraction]] = {}
-        for (p, q), mult, sgn in _slot_multipliers(i, k, j, l):
-            nf = normal_form(_zv(reg, mult), gb)
-            for mono, c in nf.terms.items():
-                d = cond2.setdefault(mono, {})
-                u = pair_pos(p, q)
-                d[u] = d.get(u, Fraction(0)) + sgn * c
-        for raw in cond2.values():
-            row = {u: c for u, c in raw.items() if c}
-            if row:
-                rows2.append(row)
-    elim2 = SparseEliminator()
-    for row in rows2:
-        elim2.add(row)
-    solution_dim2 = len(pairs) - elim2.rank
-    shift_y = {pos[p]: Fraction(-1) for p in pairs}  # y -> y + constant
-    shift_ok = all(_dot(row, shift_y) == 0 for row in rows2)
+    # weighted degree -2: column c is the constant perturbation of the
+    # generator of pair c
+    elim2 = _lifting_conditions(fam.vectors, [MONO_ONE], gb)
+    solution_dim2 = npairs - elim2.rank
+    shift_ok = in_kernel({c: -1 for c in range(npairs)}, elim2)  # y -> y + constant
     dim2 = solution_dim2 - 1
 
     vreg = versal_registry(n)
@@ -561,7 +534,7 @@ def t1_compute(n: int) -> T1Result:
         and candidates_in_solutions
         and independent
         and shift_ok
-        and solution_dim1 == trivial_rank1 + len(pairs)
+        and solution_dim1 == trivial_rank1 + npairs
     )
     return T1Result(
         n=n,
@@ -574,7 +547,7 @@ def t1_compute(n: int) -> T1Result:
             "condition_rank_deg1": elim1.rank,
             "solution_dim_deg1": solution_dim1,
             "trivial_rank_deg1": trivial_rank1,
-            "unknowns_deg2": len(pairs),
+            "unknowns_deg2": npairs,
             "condition_rank_deg2": elim2.rank,
             "solution_dim_deg2": solution_dim2,
         },

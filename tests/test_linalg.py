@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from versaldef.linalg import SparseEliminator, dense_rank, in_span, rank, solve_dense
+from versaldef.linalg import (
+    SparseEliminator, dense_rank, in_kernel, in_span, rank, solve_dense,
+)
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -147,3 +149,28 @@ def test_pivots_are_primitive_integer_rows(rows):
         assert all(type(v) is int and v for v in piv.values())
         assert piv[lead] > 0
         assert math.gcd(*piv.values()) == 1
+
+
+def _dot(row, vec):
+    return sum((Fraction(c) * vec.get(k, 0) for k, c in row.items()), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(row_strategy, max_size=7), row_strategy, st.booleans())
+def test_in_kernel_matches_dense_oracle(rows, vec, project):
+    # with project set, each row loses its projection on vec, so vec lies
+    # in the kernel by construction; the projected rows keep explicit zeros
+    norm = _dot(vec, vec)
+    if project and norm:
+        rows = [
+            {k: Fraction(r.get(k, 0)) - _dot(r, vec) / norm * vec.get(k, 0)
+             for k in set(r) | set(vec)}
+            for r in rows
+        ]
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add(r)
+    expected = all(_dot(r, vec) == 0 for r in rows)
+    assert in_kernel(vec, elim) == expected
+    if project and norm:
+        assert expected

@@ -1,0 +1,47 @@
+"""The scripts under scripts/, loaded from their paths and run in-process."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def invariant_table():
+    return _load("invariant_table")
+
+
+@pytest.fixture(scope="module")
+def run_suites():
+    return _load("run_suites")
+
+
+def test_invariant_table_computes_t1_and_t2(invariant_table, capsys):
+    assert invariant_table.main(["--upto", "6"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [4, 5, 6]
+    assert [int(r[3]) for r in rows] == [6, 10, 15]
+    assert [int(r[4]) for r in rows] == [0, 5, 14]
+
+
+def test_run_suites_writes_and_diffs_reports(run_suites, tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run_suites.main(["axes", "--out-dir", str(first)]) == 0
+    report = json.loads((first / "axes.json").read_text())
+    assert report["suite"] == "axes"
+    second = tmp_path / "second"
+    assert run_suites.main(
+        ["axes", "--out-dir", str(second), "--baseline", str(first)]
+    ) == 0
+    assert (second / "axes.json").read_text() == (first / "axes.json").read_text()
+    assert "regression" not in capsys.readouterr().out

@@ -148,13 +148,43 @@ def test_t1_dimension(n, dim):
     assert len(res.basis) == dim
 
 
-def test_t1_detail_frozen_n5():
-    d = t1_compute(5).detail
-    assert d["unknowns_deg1"] == 50
-    assert d["condition_rank_deg1"] == 30
-    assert d["solution_dim_deg1"] == 20
-    assert d["trivial_rank_deg1"] == 10
-    assert d["unknowns_deg2"] == 10
+_T1_DETAIL_KEYS = (
+    "unknowns_deg1", "condition_rank_deg1", "solution_dim_deg1", "trivial_rank_deg1",
+    "unknowns_deg2", "condition_rank_deg2", "solution_dim_deg2",
+)
+_T1_DETAIL = {
+    4: (24, 10, 14, 8, 6, 5, 1),
+    5: (50, 30, 20, 10, 10, 9, 1),
+    6: (90, 63, 27, 12, 15, 14, 1),
+    7: (147, 112, 35, 14, 21, 20, 1),
+    8: (224, 180, 44, 16, 28, 27, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_T1_DETAIL))
+def test_t1_detail_frozen(n):
+    assert dict(t1_compute(n).detail) == dict(zip(_T1_DETAIL_KEYS, _T1_DETAIL[n]))
+
+
+def test_t1_depends_on_relation_vectors(monkeypatch):
+    real = versal.relations
+
+    def poisoned(n):
+        fam = real(n)
+        first = list(fam.vectors[0])
+        slot = next(p for p, v in enumerate(first) if v)
+        first[slot] = -first[slot]
+        return dataclasses.replace(fam, vectors=(tuple(first),) + fam.vectors[1:])
+
+    monkeypatch.setattr(versal, "relations", poisoned)
+    t1_compute.cache_clear()
+    try:
+        for n, dim in ((4, 6), (5, 10)):
+            res = t1_compute(n)
+            assert not res.basis_ok
+            assert res.dimension != dim
+    finally:
+        t1_compute.cache_clear()
 
 
 def test_t1_rejects_small_n():
