@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import (
@@ -30,7 +29,7 @@ from .groebner import (
     normal_form,
 )
 from .linalg import SparseEliminator
-from .poly import Polynomial, VarRegistry, build_registry
+from .poly import Polynomial, Scalar, VarRegistry, build_registry
 
 __all__ = [
     "LINES_GENERIC",
@@ -176,14 +175,28 @@ def difference_generators_full(n: int) -> List[Polynomial]:
 class RelationFamily:
     """Syzygy vectors z_k(g_ij - g_il) - z_i(g_kj - g_kl) of the quadric
     presentation, indexed by quadruples of distinct indices, together
-    with the rank of their linear coefficient vectors."""
+    with the rank of their linear coefficient vectors, which is computed
+    on first read."""
 
     n: int
     pairs: tuple
     quadruples: tuple
     vectors: tuple
-    rank: int
     expected_rank: int
+
+    @cached_property
+    def rank(self) -> int:
+        elim = SparseEliminator()
+        nvars = lines_registry(self.n).nvars
+        for vec in self.vectors:
+            row: Dict[int, Scalar] = {}
+            for pos, poly in enumerate(vec):
+                for mono, c in poly.terms.items():
+                    (var, e), = mono
+                    assert e == 1
+                    row[pos * nvars + var] = c
+            elim.add(row)
+        return elim.rank
 
 
 def _relation_quadruples(n: int) -> List[Tuple[int, int, int, int]]:
@@ -197,6 +210,7 @@ def _relation_quadruples(n: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def relations(n: int) -> RelationFamily:
     if n < 4:
         raise ValueError("relation family needs n >= 4")
@@ -209,11 +223,12 @@ def relations(n: int) -> RelationFamily:
 
     quadruples = _relation_quadruples(n)
 
+    # one shared zero for the empty slots: the family is cached, and at
+    # n = 8 24 of the 28 slots of each vector are zero
+    zero = Polynomial.zero(reg)
     vectors = []
-    elim = SparseEliminator()
-    nvars = reg.nvars
     for (i, k, j, l) in quadruples:
-        vec = [Polynomial.zero(reg) for _ in pairs]
+        vec = [zero] * len(pairs)
         zi, zk = _zvar(reg, i), _zvar(reg, k)
         for pos, coef in (
             (ppos(i, j), zk),
@@ -223,13 +238,6 @@ def relations(n: int) -> RelationFamily:
         ):
             vec[pos] = vec[pos] + coef
         vectors.append(tuple(vec))
-        row: Dict[int, Fraction] = {}
-        for pos, poly in enumerate(vec):
-            for mono, c in poly.terms.items():
-                (var, e), = mono
-                assert e == 1
-                row[pos * nvars + var] = row.get(pos * nvars + var, Fraction(0)) + c
-        elim.add(row)
 
     # exactness: each vector annihilates the generators
     gens = [line_generator(reg, i, j) for i, j in pairs]
@@ -247,7 +255,6 @@ def relations(n: int) -> RelationFamily:
         pairs=pairs,
         quadruples=tuple(quadruples),
         vectors=tuple(vectors),
-        rank=elim.rank,
         expected_rank=expected,
     )
 

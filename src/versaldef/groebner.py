@@ -25,7 +25,9 @@ from .poly import (
     Mono,
     MONO_ONE,
     Polynomial,
+    Scalar,
     VarRegistry,
+    _exact,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -232,7 +234,7 @@ class GroebnerBasis:
 # the reduction core (works on raw term dicts)
 
 
-def _shift(terms: dict, mono: Mono, coeff: Fraction = Fraction(1)) -> dict:
+def _shift(terms: dict, mono: Mono, coeff: Scalar = 1) -> dict:
     if mono == MONO_ONE and coeff == 1:
         return dict(terms)
     return {mono_mul(m, mono): c * coeff for m, c in terms.items()}
@@ -249,7 +251,8 @@ def _reduce_terms(
     """Complete reduction of a term dict against monic (lts, polys).
 
     Returns (normal form, quotients) where quotients[k] is the term dict
-    of the cofactor of polys[k] (only when record=True).
+    of the cofactor of polys[k] (only when record=True).  The normal
+    form's coefficients are exact: ints where integral.
     """
     rem: dict = {}
     work = dict(terms)
@@ -269,13 +272,13 @@ def _reduce_terms(
                 break
         if red < 0:
             del work[m]
-            rem[m] = c
+            rem[m] = _exact(c)
             continue
         q = mono_div(m, lts[red])
         del work[m]
         if record:
             qd = quot.setdefault(red, {})
-            qd[q] = qd.get(q, Fraction(0)) + c
+            qd[q] = qd.get(q, 0) + c
         gp = polys[red]
         lt = lts[red]
         for mb, cb in gp.items():
@@ -301,11 +304,18 @@ def _neg(key_tuple):
     return tuple(-v for v in key_tuple)
 
 
+def _monic(terms: dict, lt: Mono) -> Tuple[Scalar, dict]:
+    """(1/c, terms/c) for the coefficient c of lt.  This is the engine's
+    only division; its results are exact (ints where integral)."""
+    inv = _exact(Fraction(1) / terms[lt])
+    return inv, {m: _exact(c * inv) for m, c in terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # row bookkeeping for syzygy recording
 
 
-def _row_scale_shift(row: Dict[int, dict], mono: Mono, coeff: Fraction) -> Dict[int, dict]:
+def _row_scale_shift(row: Dict[int, dict], mono: Mono, coeff: Scalar) -> Dict[int, dict]:
     return {i: _shift(d, mono, coeff) for i, d in row.items()}
 
 
@@ -313,7 +323,7 @@ def _row_sub(acc: Dict[int, dict], other: Dict[int, dict]) -> None:
     for i, d in other.items():
         tgt = acc.setdefault(i, {})
         for m, c in d.items():
-            v = tgt.get(m, Fraction(0)) - c
+            v = tgt.get(m, 0) - c
             if v:
                 tgt[m] = v
             elif m in tgt:
@@ -347,7 +357,7 @@ class _Engine:
 
         seeds: List[Tuple[dict, Dict[int, dict]]] = []
         for gi, p in enumerate(ideal.generators):
-            seeds.append((dict(p.terms), {gi: {MONO_ONE: Fraction(1)}}))
+            seeds.append((dict(p.terms), {gi: {MONO_ONE: 1}}))
         if not record:
             seeds = [(t, r) for t, r in seeds if t]
             seeds = self._interreduce(seeds)
@@ -367,10 +377,7 @@ class _Engine:
                 if not others:
                     continue
                 lts = [max(x, key=self.key) for x in others]
-                monic = []
-                for x, lt in zip(others, lts):
-                    inv = Fraction(1) / x[lt]
-                    monic.append({m: c * inv for m, c in x.items()})
+                monic = [_monic(x, lt)[1] for x, lt in zip(others, lts)]
                 rem, _ = _reduce_terms(
                     items[i], lts, monic, self.key, self.budget
                 )
@@ -381,9 +388,9 @@ class _Engine:
 
     def _push(self, terms: dict, row: Dict[int, dict]) -> int:
         lt = max(terms, key=self.key)
-        inv = Fraction(1) / terms[lt]
+        inv, monic = _monic(terms, lt)
         self.lts.append(lt)
-        self.polys.append({m: c * inv for m, c in terms.items()})
+        self.polys.append(monic)
         if self.record:
             self.rows.append(_row_scale_shift(row, MONO_ONE, inv))
         return len(self.lts) - 1
@@ -414,7 +421,7 @@ class _Engine:
             uj = mono_div(lcm, ltj)
             s = _shift(self.polys[i], ui)
             for m, c in _shift(self.polys[j], uj).items():
-                acc = s.get(m, Fraction(0)) - c
+                acc = s.get(m, 0) - c
                 if acc:
                     s[m] = acc
                 elif m in s:
@@ -424,8 +431,8 @@ class _Engine:
             )
             row: Dict[int, dict] = {}
             if self.record:
-                row = _row_scale_shift(self.rows[i], ui, Fraction(1))
-                _row_sub(row, _row_scale_shift(self.rows[j], uj, Fraction(1)))
+                row = _row_scale_shift(self.rows[i], ui, 1)
+                _row_sub(row, _row_scale_shift(self.rows[j], uj, 1))
                 for k, qd in quot.items():
                     for qm, qc in qd.items():
                         _row_sub(row, _row_scale_shift(self.rows[k], qm, qc))
@@ -553,7 +560,7 @@ def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
         lcm = mono_lcm(lts[i], lts[j])
         s = _shift(polys[i], mono_div(lcm, lts[i]))
         for m, c in _shift(polys[j], mono_div(lcm, lts[j])).items():
-            acc = s.get(m, Fraction(0)) - c
+            acc = s.get(m, 0) - c
             if acc:
                 s[m] = acc
             elif m in s:
@@ -639,9 +646,7 @@ def syzygies(
     reg = ideal.registry
     raw_vectors = []
     for row in eng.syzygy_rows:
-        vec = tuple(
-            Polynomial._raw(reg, dict(row.get(i, {}))) for i in range(len(gens))
-        )
+        vec = tuple(Polynomial(reg, row.get(i, {})) for i in range(len(gens)))
         if any(vec):
             raw_vectors.append(vec)
 

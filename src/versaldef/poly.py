@@ -1,11 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Every coefficient is a :class:`fractions.Fraction`; nothing in this package
-touches floating point.  A polynomial lives over a :class:`VarRegistry`,
-which fixes the ordered list of variables together with their quasi
-homogeneous weights.  Polynomials are immutable after construction and two
-polynomials compare equal exactly when their registries are structurally
-equal and their term maps coincide.
+An integral coefficient is stored as an ``int`` and any other as a
+:class:`fractions.Fraction`, so integer input stays in machine-int
+arithmetic; nothing in this package touches floating point.  A
+polynomial lives over a :class:`VarRegistry`, which fixes the ordered
+list of variables together with their quasi homogeneous weights.
+Polynomials are immutable after construction and two polynomials compare
+equal exactly when their registries are structurally equal and their
+term maps coincide.
 
 The text grammar accepted by :func:`parse` (whitespace is insignificant):
 
@@ -35,6 +37,7 @@ __all__ = [
     "VarRegistry",
     "Polynomial",
     "Mono",
+    "Scalar",
     "NONHOMOGENEOUS",
     "ParseError",
     "build_registry",
@@ -107,6 +110,9 @@ class VarRegistry:
     ``antisymmetric_pairs`` controls how two-index ``a`` variables behave:
     if true (the default) only ``a_i_j`` with i < j exists and ``a_j_i``
     parses to its negative; if false both orders are independent variables.
+
+    The hash is computed once at construction, since registries key the
+    caches of polynomial building blocks; equality stays structural.
     """
 
     vars: tuple
@@ -117,6 +123,10 @@ class VarRegistry:
             self, "_pos", {v.name: k for k, v in enumerate(self.vars)}
         )
         object.__setattr__(self, "_weights", tuple(v.weight for v in self.vars))
+        object.__setattr__(self, "_hash", hash((self.vars, self.antisymmetric_pairs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nvars(self) -> int:
@@ -294,12 +304,18 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
 # polynomials
 
 
-def _clean(terms: dict) -> dict:
-    return {m: c for m, c in terms.items() if c}
+def _exact(c) -> Scalar:
+    """The exact coefficient equal to c: an int when c is integral,
+    otherwise a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact coefficients: integral
+    ones are ints, the others Fractions."""
 
     __slots__ = ("reg", "terms")
 
@@ -308,7 +324,7 @@ class Polynomial:
         cleaned = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     cleaned[m] = c
         object.__setattr__(self, "terms", cleaned)
@@ -324,17 +340,18 @@ class Polynomial:
 
     @staticmethod
     def const(reg: VarRegistry, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(reg, {MONO_ONE: c} if c else {})
+        c = _exact(c)
+        return Polynomial._raw(reg, {MONO_ONE: c} if c else {})
 
     @staticmethod
     def var(reg: VarRegistry, name: str) -> "Polynomial":
         pos, sign = reg.resolve(name)
-        return Polynomial(reg, {((pos, 1),): Fraction(sign)})
+        return Polynomial._raw(reg, {((pos, 1),): sign})
 
     @staticmethod
     def _raw(reg: VarRegistry, terms: dict) -> "Polynomial":
-        """Trusted constructor: terms must be clean Fractions already."""
+        """Trusted constructor: terms must be nonzero and exact already
+        (ints where integral, Fractions otherwise)."""
         p = object.__new__(Polynomial)
         object.__setattr__(p, "reg", reg)
         object.__setattr__(p, "terms", terms)
@@ -351,11 +368,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Mono) -> Scalar:
+        return self.terms.get(mono, 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(MONO_ONE, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get(MONO_ONE, 0)
 
     def variables(self) -> set:
         out = set()
@@ -388,7 +405,8 @@ class Polynomial:
             else:
                 acc = acc + c
                 if acc:
-                    out[m] = acc
+                    # two non-integral Fractions can sum to an integer
+                    out[m] = acc if type(acc) is int else _exact(acc)
                 else:
                     del out[m]
         return Polynomial._raw(self.reg, out)
@@ -410,11 +428,11 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return Polynomial.zero(self.reg)
             return Polynomial._raw(
-                self.reg, {m: k * c for m, k in self.terms.items()}
+                self.reg, {m: _exact(k * c) for m, k in self.terms.items()}
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -436,6 +454,9 @@ class Polynomial:
                         out[m] = acc
                     else:
                         del out[m]
+        for m, c in out.items():
+            if type(c) is not int:  # a product with a Fraction may be integral
+                out[m] = _exact(c)
         return Polynomial._raw(self.reg, out)
 
     __rmul__ = __mul__
@@ -713,7 +734,7 @@ class _Parser:
                 p, sign = self.reg.resolve(val)
             except KeyError as exc:
                 raise ParseError(str(exc), pos) from None
-            return Polynomial._raw(self.reg, {((p, 1),): Fraction(sign)})
+            return Polynomial._raw(self.reg, {((p, 1),): sign})
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")

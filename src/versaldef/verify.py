@@ -416,7 +416,9 @@ def run_suite(
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if n_range is None:
         n_range = DEFAULT_RANGES[name]
-    lo, hi = int(n_range[0]), int(n_range[1])
+    lo, hi = n_range
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"n range entries must be integers, got {n_range!r}")
     if lo < 4 or hi < lo:
         raise ValueError(f"need 4 <= lo <= hi, got ({lo}, {hi})")
     rng = random.Random(seed) if seed is not None else None

@@ -40,7 +40,8 @@ from .groebner import (
 )
 from .linalg import SparseEliminator, dense_rank, in_kernel, solve_dense
 from .poly import (
-    MONO_ONE, Mono, Polynomial, VarRegistry, build_registry, mono_mul, parse, substitute,
+    MONO_ONE, Mono, Polynomial, Scalar, VarRegistry, build_registry, mono_mul, parse,
+    substitute,
 )
 
 __all__ = [
@@ -450,7 +451,7 @@ def _lifting_conditions(
     elim = SparseEliminator()
     nf: Dict[Mono, dict] = {}
     for vec in vectors:
-        cond: Dict[Mono, Dict[int, Fraction]] = {}
+        cond: Dict[Mono, Dict[int, Scalar]] = {}
         for p, entry in enumerate(vec):
             for mono, c in entry.terms.items():
                 for s, shift in enumerate(shifts):
@@ -706,7 +707,7 @@ _PFAFFIAN_UPPER = {
 def _pf_expand(M: Mapping[tuple, Polynomial], idx: tuple, reg: VarRegistry) -> Polynomial:
     """Pfaffian by expansion along the first remaining row."""
     if not idx:
-        return Polynomial.const(reg, Fraction(1))
+        return Polynomial.const(reg, 1)
     i0 = idx[0]
     acc = Polynomial.zero(reg)
     for t in range(1, len(idx)):
@@ -731,7 +732,7 @@ def _pf_matchings(M: Mapping[tuple, Polynomial], idx: tuple, reg: VarRegistry) -
             for a, b in itertools.combinations(perm, 2)
             if order[a] > order[b]
         )
-        term = Polynomial.const(reg, Fraction(1))
+        term = Polynomial.const(reg, 1)
         for t in range(len(idx) // 2):
             term = term * M[(perm[2 * t], perm[2 * t + 1])]
         acc = acc + term if inversions % 2 == 0 else acc - term

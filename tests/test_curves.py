@@ -108,6 +108,26 @@ def test_relation_rank(n):
     assert len(fam.quadruples) == expected_quads
 
 
+def test_relations_are_cached_and_their_rank_is_lazy(monkeypatch):
+    from versaldef.linalg import SparseEliminator
+
+    relations.cache_clear()
+    calls = []
+    real = SparseEliminator.add
+
+    def counting(self, row):
+        calls.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(SparseEliminator, "add", counting)
+    fam = relations(6)
+    assert calls == []
+    assert relations(6) is fam
+    assert fam.rank == fam.expected_rank
+    assert fam.rank == fam.expected_rank  # read again: not recomputed
+    assert len(calls) == len(fam.vectors)
+
+
 def test_relation_rank_values_frozen():
     assert [linear_relation_formula(n) for n in range(4, 8)] == [5, 16, 35, 64]
 

@@ -171,3 +171,28 @@ def test_normal_form_of_generators_is_zero(texts):
         assert contains(gb, g)
     prod = gens[0] * _p("z1 + z2 - 3")
     assert contains(gb, prod)
+
+
+def _all_ints(polys):
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def test_integral_bases_have_int_coefficients():
+    from versaldef.versal import _lines_gb, base_ideal
+
+    assert _all_ints(buchberger(base_ideal(6, minimal=True)).basis)
+    assert _all_ints(_lines_gb(6).basis)
+
+
+def test_non_unit_leading_coefficient_gives_exact_basis():
+    gb = buchberger(Ideal(REG, [_p("2*z1 - 1"), _p("z1*z2")]))
+    assert gb.basis == (_p("z2"), _p("z1 - 1/2"))
+    z1, one = ((REG.position("z1"), 1),), ()
+    assert type(gb.basis[1].terms[z1]) is int
+    assert gb.basis[1].terms[one] == Fraction(-1, 2)
+    nf = normal_form(_p("4*z1^2"), gb)
+    assert nf == Polynomial.const(REG, 1) and type(nf.terms[one]) is int
+    mod = syzygies(Ideal(REG, [_p("2*z1*z2 - 3*y"), _p("z1*z3 - y"), _p("2*z2*z3 - y")]))
+    coeffs = [c for vec in mod.vectors for v in vec for c in v.terms.values()]
+    assert any(type(c) is Fraction for c in coeffs)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in coeffs)

@@ -10,6 +10,7 @@ from versaldef.poly import (
     NONHOMOGENEOUS,
     ParseError,
     Polynomial,
+    Var,
     build_registry,
     parse,
     substitute,
@@ -125,3 +126,122 @@ def test_display_name_override():
     assert to_str(p, fancy) == "v0*v1"
     with pytest.raises(ValueError):
         to_str(p, ["too", "few"])
+
+
+def _assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+def test_integral_coefficients_are_ints():
+    z1 = ((REG.position("z1"), 1),)
+    built = Polynomial(REG, {z1: Fraction(4, 2), (): 3})
+    assert built.terms == {z1: 2, (): 3}
+    _assert_exact(built)
+    assert type(Polynomial.const(REG, Fraction(6, 3)).constant_term()) is int
+    assert Polynomial.var(REG, "a_2_1").terms == {((REG.position("a_1_2"), 1),): -1}
+    _assert_exact(Polynomial.var(REG, "a_2_1"))
+    parsed = parse("4/2*z1 - 3", REG)
+    assert parsed == built - 6
+    _assert_exact(parsed)
+    doubled = parse("1/2*z1 + 1/3", REG) * Fraction(2)
+    assert doubled.terms == {z1: 1, (): Fraction(2, 3)}
+    _assert_exact(doubled)
+    half = parse("1/2*z1", REG)
+    _assert_exact(half + half)
+    _assert_exact(half * parse("2*z2", REG))
+    assert type(half.coefficient(z1)) is Fraction
+    assert type(half.coefficient(())) is int and half.constant_term() == 0
+
+
+# coefficients drawn as ints or as Fractions, integral ones included
+mixed_coeffs = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=4)
+)
+mono_strategy = st.dictionaries(
+    st.integers(0, REG.nvars - 1), st.integers(1, 3), max_size=3
+).map(lambda d: tuple(sorted(d.items())))
+raw_strategy = st.dictionaries(mono_strategy, mixed_coeffs, max_size=5)
+
+
+def _dense(mono):
+    exps = [0] * REG.nvars
+    for v, e in mono:
+        exps[v] = e
+    return tuple(exps)
+
+
+def _oracle(raw):
+    """All-Fraction dict keyed by dense exponent vectors."""
+    return {_dense(m): Fraction(c) for m, c in raw.items() if c}
+
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_subst(a, images):
+    out = {}
+    for m, c in a.items():
+        term = {tuple([0] * REG.nvars): c}
+        for v, e in enumerate(m):
+            if v in images:
+                for _ in range(e):
+                    term = _o_mul(term, images[v])
+            elif e:
+                term = _o_mul(term, {tuple(e if k == v else 0 for k in range(REG.nvars)): Fraction(1)})
+        out = _o_add(out, term)
+    return out
+
+
+def _as_oracle(p):
+    return {_dense(m): Fraction(c) for m, c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_strategy, raw_strategy, raw_strategy)
+def test_arithmetic_matches_fraction_oracle(ra, rb, rc):
+    a, b, c = (Polynomial(REG, r) for r in (ra, rb, rc))
+    oa, ob, oc = _oracle(ra), _oracle(rb), _oracle(rc)
+    assert _as_oracle(a) == oa
+    results = {
+        "add": (a + b, _o_add(oa, ob)),
+        "sub": (a - b, _o_add(oa, ob, -1)),
+        "mul": (a * b, _o_mul(oa, ob)),
+        "subst": (
+            substitute(a, {"z1": b, "a_1_2": c}),
+            _o_subst(oa, {REG.position("z1"): ob, REG.position("a_1_2"): oc}),
+        ),
+    }
+    for name, (got, want) in results.items():
+        assert _as_oracle(got) == want, name
+        _assert_exact(got)
+
+
+def test_registry_hash_is_computed_once(monkeypatch):
+    a = build_registry(nz=3, y=True, npairs=4)
+    b = build_registry(nz=3, y=True, npairs=4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    calls = []
+    real = Var.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Var, "__hash__", counting)
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert calls == []

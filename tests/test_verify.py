@@ -60,6 +60,12 @@ def test_run_suite_validation():
         run_suite("identities", (5, 4))
 
 
+@pytest.mark.parametrize("n_range", [(4.9, 4), (4, "4"), (4.0, 4), (4, True)])
+def test_run_suite_rejects_non_integer_range(n_range):
+    with pytest.raises(ValueError, match="integers"):
+        run_suite("identities", n_range)
+
+
 @pytest.mark.parametrize(
     "name,n_range",
     [
