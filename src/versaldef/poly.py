@@ -388,17 +388,19 @@ class Polynomial:
     # arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
-        if self.reg != other.reg:
+        if self.reg is not other.reg and self.reg != other.reg:
             raise ValueError("polynomials live over different registries")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.reg, other)
+    def _plus(self, other, negate: bool):
+        """self + other, or self - other when negate, in one pass."""
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(self.reg, other)
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
+            c = -c if negate else c
             acc = out.get(m)
             if acc is None:
                 out[m] = c
@@ -411,31 +413,32 @@ class Polynomial:
                     del out[m]
         return Polynomial._raw(self.reg, out)
 
+    def __add__(self, other):
+        return self._plus(other, False)
+
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._raw(self.reg, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.reg, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        return self._plus(other, True)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial.const(self.reg, other)
+        return other._plus(self, True) if isinstance(other, Polynomial) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _exact(other)
             if not c:
                 return Polynomial.zero(self.reg)
             return Polynomial._raw(
                 self.reg, {m: _exact(k * c) for m, k in self.terms.items()}
             )
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         self._check(other)
         out: dict = {}
         if len(self.terms) > len(other.terms):
@@ -474,11 +477,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)):
-                return self.terms == Polynomial.const(self.reg, other).terms
-            return NotImplemented
-        return self.reg == other.reg and self.terms == other.terms
+        if isinstance(other, Polynomial):
+            return self.reg == other.reg and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == Polynomial.const(self.reg, other).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.reg.names, tuple(sorted(self.terms.items()))))

@@ -194,7 +194,7 @@ def _suite_base_geometry(lo: int, hi: int, budget: Budget, rng=None) -> List[Che
                 return h.h_vector == (1, 3, 1), f"h-vector {h.h_vector}"
 
             def pfaff(n=n):
-                rep = versal.pfaffian_check(budget)
+                rep = versal.pfaffian_check()
                 return rep.ok, (
                     f"quadratic={rep.all_quadratic} "
                     f"expansions-agree={rep.expansion_consistent} "
@@ -210,7 +210,7 @@ def _suite_induction(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
     checks: List[Check] = []
     for n in range(max(lo, 5), hi + 1):
         def induct(n=n):
-            r = versal.base_equals_total(n, budget)
+            r = versal.base_equals_total(n)
             return r.ok, (
                 f"substitution-matches={r.substitution_matches} "
                 f"new-rank={r.new_rank}/{r.expected_new_rank} "

@@ -1,6 +1,7 @@
 """Polynomial core: ring axioms, printing/parsing, substitution,
 weighted degrees, and the antisymmetric pair convention."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -211,14 +212,19 @@ def _as_oracle(p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(raw_strategy, raw_strategy, raw_strategy)
-def test_arithmetic_matches_fraction_oracle(ra, rb, rc):
+@given(raw_strategy, raw_strategy, raw_strategy, mixed_coeffs)
+def test_arithmetic_matches_fraction_oracle(ra, rb, rc, k):
     a, b, c = (Polynomial(REG, r) for r in (ra, rb, rc))
     oa, ob, oc = _oracle(ra), _oracle(rb), _oracle(rc)
+    o_k = _oracle({(): k})
     assert _as_oracle(a) == oa
     results = {
         "add": (a + b, _o_add(oa, ob)),
         "sub": (a - b, _o_add(oa, ob, -1)),
+        "add-scalar": (a + k, _o_add(oa, o_k)),
+        "radd-scalar": (k + a, _o_add(oa, o_k)),
+        "sub-scalar": (a - k, _o_add(oa, o_k, -1)),
+        "rsub-scalar": (k - a, _o_add(o_k, oa, -1)),
         "mul": (a * b, _o_mul(oa, ob)),
         "subst": (
             substitute(a, {"z1": b, "a_1_2": c}),
@@ -245,3 +251,45 @@ def test_registry_hash_is_computed_once(monkeypatch):
     assert hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert calls == []
+
+
+def test_subtraction_builds_no_negated_copy(monkeypatch):
+    a, b = parse("z1 + 2*z2 - 3", REG), parse("z2 - 1/2*y", REG)
+    negations = []
+    real = Polynomial.__neg__
+
+    def counting(self):
+        negations.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polynomial, "__neg__", counting)
+    assert a - b == parse("z1 + z2 + 1/2*y - 3", REG)
+    assert a - 3 == parse("z1 + 2*z2 - 6", REG)
+    assert 3 - a == parse("-z1 - 2*z2 + 6", REG)
+    assert Fraction(1, 2) - b == parse("-z2 + 1/2*y + 1/2", REG)
+    assert a.__rsub__(b) == b - a
+    assert negations == []
+
+
+def test_operands_of_every_binary_operation():
+    a = parse("z1 + 1", REG)
+    twin = build_registry(nz=3, y=True, npairs=3)  # equal, not the same object
+    b = parse("z1", twin)
+    assert twin is not REG
+    assert a + b == parse("2*z1 + 1", REG) and a - b == 1 and b - a == -1
+    assert a * b == parse("z1^2 + z1", REG) and a == parse("z1 + 1", twin)
+    assert a + True == parse("z1 + 2", REG) and a * Fraction(4, 2) == parse("2*z1 + 2", REG)
+    assert parse("3", REG) == 3 and parse("3", REG) == Fraction(6, 2) and parse("3", REG) != 2
+    other = parse("z1", build_registry(nz=3))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(a, other)
+        for foreign in ("x", 1.5, None):
+            with pytest.raises(TypeError):
+                op(a, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, a)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+        assert getattr(a, name)(1.5) is NotImplemented, name
+    assert (a == "z1 + 1") is False and (a != 1.5) is True
+    assert parse("z1", REG) != other  # same terms over another registry

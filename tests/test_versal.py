@@ -11,6 +11,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_verify import _record_buchberger
 
 from versaldef import versal
 from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
@@ -39,6 +41,7 @@ from versaldef.versal import (
     nice_total_space_check,
     pfaffian_check,
     phi,
+    quadric_ideals_equal,
     phi_symmetry_failures,
     quadric_index_set,
     quadric_symmetry_failures,
@@ -265,6 +268,96 @@ def test_pfaffian_presentation():
     assert rep.all_quadratic
     assert rep.ideal_equal_ok
     assert len(rep.pfaffians) == 5
+
+
+# ---------------------------------------------------------------------------
+# ideal equalities between quadric systems, decided in degree 2
+
+
+def _induction_systems(n):
+    """The substituted and the carried quadrics of the level-n
+    induction step, built as ``base_equals_total`` builds them."""
+    breg = base_registry(n)
+    assign = {f"z{m}": Polynomial.var(breg, f"a_{m}_{n}") for m in range(1, n)}
+    substituted = [
+        substitute(family_generator(i, j, l, n - 1), assign, target=breg)
+        for (i, j, l) in family_index_set(n - 1)
+    ]
+    carried = [substitute(p, {}, target=breg) for p in minimal_base_quadrics(n - 1)]
+    return substituted, carried
+
+
+def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
+    versal._base_gb.cache_clear()
+    calls = _record_buchberger(monkeypatch)
+    assert base_equals_total(6).ok
+    assert pfaffian_check().ok
+    assert calls == []
+
+
+def _perturbed(p):
+    """p with the coefficient of its first term raised by one."""
+    mono = next(iter(p.terms))
+    return Polynomial(p.reg, {**p.terms, mono: p.terms[mono] + 1})
+
+
+def test_quadric_ideal_equality_mutation_guard():
+    substituted, carried = _induction_systems(6)
+    target = minimal_base_quadrics(6)
+    assert quadric_ideals_equal(substituted + carried, target)
+    assert quadric_ideals_equal(target, substituted + carried)
+    # the carried system alone spans too little
+    assert not quadric_ideals_equal(carried, target)
+    assert not quadric_ideals_equal(target, carried)
+    # one coefficient of one substituted quadric perturbed, for each quadric
+    for k, s in enumerate(substituted):
+        mutated = substituted[:k] + [_perturbed(s)] + substituted[k + 1:]
+        assert not quadric_ideals_equal(mutated + carried, target), k
+        assert not quadric_ideals_equal(target, mutated + carried), k
+    # as many independent quadrics as the target, one of them perturbed
+    for k, q in enumerate(target):
+        mutated = target[:k] + [_perturbed(q)] + target[k + 1:]
+        assert span_rank(mutated) == span_rank(target)
+        assert not quadric_ideals_equal(mutated, target), k
+    # anything but nonzero quadrics is refused, even where the spans agree
+    a12 = Polynomial.var(target[0].reg, "a_1_2")
+    for extra in (target[0] * a12, a12, target[0] + 1, Polynomial.zero(a12.reg)):
+        assert not quadric_ideals_equal(target + [extra], target + [extra])
+        assert not quadric_ideals_equal(target, target + [extra])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_quadric_span_verdict_matches_groebner_engine(n):
+    substituted, carried = _induction_systems(n)
+    target = minimal_base_quadrics(n)
+    reg = base_registry(n)
+    systems = [
+        substituted + carried,
+        carried,
+        substituted[1:] + carried,
+        [_perturbed(substituted[0])] + substituted[1:] + carried,
+    ]
+    if n == 5:  # the engine needs ~5 s for the perturbed target at n = 6
+        systems.append([_perturbed(target[0])] + target[1:])
+        systems.append(list(pfaffian_check().pfaffians))
+    for V in systems:
+        assert quadric_ideals_equal(V, target) == (buchberger(Ideal(reg, V)) == versal._base_gb(n))
+    assert quadric_ideals_equal(substituted + carried, target)
+
+
+# a system missing two or more base quadrics can take the engine
+# seconds, so the drawn systems miss at most one
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sets(st.integers(0, 13), max_size=1),
+    st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(-2, 2)), max_size=2),
+)
+def test_quadric_span_verdict_matches_groebner_engine_on_subsystems(dropped, extras):
+    gens = minimal_base_quadrics(6)
+    V = [g for k, g in enumerate(gens) if k not in dropped]
+    V += [gens[i] + c * gens[j] for i, j, c in extras if i != j]
+    verdict = buchberger(Ideal(base_registry(6), V)) == versal._base_gb(6)
+    assert quadric_ideals_equal(V, gens) == verdict
 
 
 # ---------------------------------------------------------------------------
