@@ -77,6 +77,9 @@ class MonomialOrder:
     block: tuple = ()
 
     def key_func(self, reg: VarRegistry):
+        """The order's descending key: a smaller key means a larger
+        monomial, so a min-heap of keys pops the largest monomial first
+        and the leading monomial is ``min(terms, key=key)``."""
         nv = reg.nvars
         if self.kind == "degrevlex":
 
@@ -86,9 +89,9 @@ class MonomialOrder:
                 for v, e in m:
                     dense[v] = e
                     deg += e
-                out = [deg]
-                out.extend(-dense[i] for i in range(nv - 1, -1, -1))
-                return tuple(out)
+                dense.append(-deg)
+                dense.reverse()
+                return tuple(dense)
 
             return key
         if self.kind == "lex":
@@ -96,7 +99,7 @@ class MonomialOrder:
             def key(m: Mono):
                 dense = [0] * nv
                 for v, e in m:
-                    dense[v] = e
+                    dense[v] = -e
                 return tuple(dense)
 
             return key
@@ -114,14 +117,13 @@ class MonomialOrder:
                 for v, e in m:
                     di = dpos.get(v)
                     if di is not None:
-                        dd[di] = e
+                        dd[di] = -e
                     else:
                         dk[kpos[v]] = e
                         deg += e
-                out = dd
-                out.append(deg)
-                out.extend(-dk[i] for i in range(nk - 1, -1, -1))
-                return tuple(out)
+                dd.append(-deg)
+                dd.extend(reversed(dk))
+                return tuple(dd)
 
             return key
         raise ValueError(f"unknown order kind {self.kind!r}")
@@ -137,7 +139,8 @@ def block_order(reg: VarRegistry, drop_names: Iterable[str]) -> MonomialOrder:
 
 
 class _KeyCache:
-    """Memoised order key; the same monomials recur heavily in reductions."""
+    """Memoised descending order key; the same monomials recur heavily in
+    reductions."""
 
     __slots__ = ("f", "cache")
 
@@ -214,7 +217,8 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """The reduced Groebner basis of an ideal for a fixed order.  Its
-    leading monomials are computed once, on first use."""
+    order-key cache and leading monomials are built once, on first use,
+    and shared by every reduction against it."""
 
     registry: VarRegistry
     order: MonomialOrder
@@ -222,9 +226,12 @@ class GroebnerBasis:
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
+    def _key(self) -> _KeyCache:
+        return _KeyCache(self.order, self.registry)
+
+    @cached_property
     def _lts(self) -> tuple:
-        key = _KeyCache(self.order, self.registry)
-        return tuple(max(p.terms, key=key) for p in self.basis)
+        return tuple(min(p.terms, key=self._key) for p in self.basis)
 
     def leading_monomials(self) -> tuple:
         return self._lts
@@ -252,22 +259,26 @@ def _reduce_terms(
 
     Returns (normal form, quotients) where quotients[k] is the term dict
     of the cofactor of polys[k] (only when record=True).  The normal
-    form's coefficients are exact: ints where integral.
+    form's coefficients are exact: ints where integral.  The reducer of
+    a term is the first one in index order whose leading monomial
+    divides it; a support bitmask per monomial screens out reducers
+    with a variable the term lacks before ``mono_divides`` runs.
     """
     rem: dict = {}
     work = dict(terms)
-    heap = [(_neg(key(m)), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     quot: Optional[Dict[int, dict]] = {} if record else None
-    nb = len(lts)
+    masks = [sum(1 << v for v, _ in lt) for lt in lts]
     while heap:
         _, m = heapq.heappop(heap)
         c = work.get(m)
         if c is None:
             continue
+        outside = ~sum(1 << v for v, _ in m)
         red = -1
-        for k in range(nb):
-            if mono_divides(lts[k], m):
+        for k, mask in enumerate(masks):
+            if not mask & outside and mono_divides(lts[k], m):
                 red = k
                 break
         if red < 0:
@@ -288,7 +299,7 @@ def _reduce_terms(
             acc = work.get(mm)
             if acc is None:
                 work[mm] = -c * cb
-                heapq.heappush(heap, (_neg(key(mm)), mm))
+                heapq.heappush(heap, (key(mm), mm))
             else:
                 acc = acc - c * cb
                 if acc:
@@ -298,10 +309,6 @@ def _reduce_terms(
         if len(work) + len(rem) > budget.max_terms:
             raise BudgetExceeded("terms", budget.max_terms, "reduction")
     return rem, quot
-
-
-def _neg(key_tuple):
-    return tuple(-v for v in key_tuple)
 
 
 def _monic(terms: dict, lt: Mono) -> Tuple[Scalar, dict]:
@@ -365,29 +372,39 @@ class _Engine:
             self._push(terms, row)
 
     def _interreduce(self, seeds):
-        """Mutual reduction of the input set (plain runs only)."""
+        """Mutual reduction of the input set (plain runs only): Gauss-Seidel
+        sweeps until nothing changes.  Each item's leading monomial and
+        monic form are kept and recomputed only when the item changes."""
         items = [t for t, _ in seeds]
+        heads = [self._head(x) for x in items]
         changed = True
         while changed:
             changed = False
             for i in range(len(items)):
                 if not items[i]:
                     continue
-                others = [x for k, x in enumerate(items) if k != i and x]
+                others = [h for k, h in enumerate(heads) if k != i and h]
                 if not others:
                     continue
-                lts = [max(x, key=self.key) for x in others]
-                monic = [_monic(x, lt)[1] for x, lt in zip(others, lts)]
                 rem, _ = _reduce_terms(
-                    items[i], lts, monic, self.key, self.budget
+                    items[i],
+                    [lt for lt, _ in others],
+                    [monic for _, monic in others],
+                    self.key,
+                    self.budget,
                 )
                 if rem != items[i]:
                     items[i] = rem
+                    heads[i] = self._head(rem) if rem else None
                     changed = True
         return [(x, {}) for x in items if x]
 
+    def _head(self, terms: dict) -> Tuple[Mono, dict]:
+        lt = min(terms, key=self.key)
+        return lt, _monic(terms, lt)[1]
+
     def _push(self, terms: dict, row: Dict[int, dict]) -> int:
-        lt = max(terms, key=self.key)
+        lt = min(terms, key=self.key)
         inv, monic = _monic(terms, lt)
         self.lts.append(lt)
         self.polys.append(monic)
@@ -460,7 +477,9 @@ class _Engine:
         return False
 
     def reduced_basis(self) -> List[dict]:
-        order_idx = sorted(range(len(self.lts)), key=lambda k: self.key(self.lts[k]))
+        order_idx = sorted(
+            range(len(self.lts)), key=lambda k: self.key(self.lts[k]), reverse=True
+        )
         kept: List[int] = []
         kept_lts: List[Mono] = []
         for k in order_idx:
@@ -500,8 +519,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGE
     if p.reg != gb.registry:
         raise ValueError("polynomial and basis live over different registries")
     polys = [q.terms for q in gb.basis]
-    key = _KeyCache(gb.order, gb.registry)
-    rem, _ = _reduce_terms(dict(p.terms), gb._lts, polys, key, budget)
+    rem, _ = _reduce_terms(dict(p.terms), gb._lts, polys, gb._key, budget)
     return Polynomial._raw(gb.registry, rem)
 
 
@@ -546,14 +564,13 @@ def eliminate(
         }
         out.append(Polynomial._raw(sub, terms))
     key = _KeyCache(DEGREVLEX, sub)
-    out.sort(key=lambda q: key(max(q.terms, key=key)) if q else ())
+    out.sort(key=lambda q: key(min(q.terms, key=key)), reverse=True)
     return Ideal(sub, out)
 
 
 def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Internal consistency pass: every S-polynomial of the final basis
     reduces to zero against it."""
-    key = _KeyCache(gb.order, gb.registry)
     lts = gb._lts
     polys = [q.terms for q in gb.basis]
     for i, j in itertools.combinations(range(len(lts)), 2):
@@ -565,7 +582,7 @@ def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
                 s[m] = acc
             elif m in s:
                 del s[m]
-        rem, _ = _reduce_terms(s, lts, polys, key, budget)
+        rem, _ = _reduce_terms(s, lts, polys, gb._key, budget)
         if rem:
             return False
     return True

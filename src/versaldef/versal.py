@@ -258,17 +258,27 @@ def base_ideal(n: int, minimal: bool = False) -> Ideal:
     return Ideal(reg, [_quadric(reg, *t) for t in quadric_index_set(n)])
 
 
+class _Span:
+    """The span of polynomials as vectors over their monomials, grown by
+    ``add``; each polynomial is eliminated once."""
+
+    __slots__ = ("elim", "cols")
+
+    def __init__(self) -> None:
+        self.elim = SparseEliminator()
+        self.cols: Dict = {}
+
+    def add(self, polys: Sequence[Polynomial]) -> int:
+        """Add the polynomials; return the rank of everything added."""
+        cols = self.cols
+        for p in polys:
+            self.elim.add({cols.setdefault(m, len(cols)): c for m, c in p.terms.items()})
+        return self.elim.rank
+
+
 def span_rank(polys: Sequence[Polynomial]) -> int:
     """Rank of a list of polynomials as vectors over their monomials."""
-    elim = SparseEliminator()
-    cols: Dict = {}
-    for p in polys:
-        row = {}
-        for mono, c in p.terms.items():
-            col = cols.setdefault(mono, len(cols))
-            row[col] = c
-        elim.add(row)
-    return elim.rank
+    return _Span().add(polys)
 
 
 def quadric_ideals_equal(V: Sequence[Polynomial], W: Sequence[Polynomial]) -> bool:
@@ -277,8 +287,18 @@ def quadric_ideals_equal(V: Sequence[Polynomial], W: Sequence[Polynomial]) -> bo
     exactly when rank V = rank W = rank(V + W): no Groebner basis is
     needed.  False means "not certified", the answer also when an input
     is zero or not a homogeneous quadric."""
+    span = _Span()
+    span.add(V)
+    return _same_quadric_ideal(span, V, W)
+
+
+def _same_quadric_ideal(
+    span: _Span, V: Sequence[Polynomial], W: Sequence[Polynomial]
+) -> bool:
+    """``quadric_ideals_equal`` given a ``span`` that holds exactly V; the
+    span is grown to V + W, so V is eliminated only once."""
     quadrics = all(p and all(mono_degree(m) == 2 for m in p.terms) for p in (*V, *W))
-    return quadrics and span_rank(V) == span_rank(W) == span_rank([*V, *W])
+    return quadrics and span.elim.rank == span_rank(W) == span.add(W)
 
 
 def t2_dimension(n: int) -> int:
@@ -674,11 +694,12 @@ def base_equals_total(n: int) -> InductionReport:
         substituted.append(s)
 
     carried = [substitute(p, {}, target=breg) for p in minimal_base_quadrics(prev)]
-    carried_rank = span_rank(carried)
-    combined_rank = span_rank(carried + substituted)
+    span = _Span()
+    carried_rank = span.add(carried)
+    combined_rank = span.add(substituted)
     new_rank = combined_rank - carried_rank
     expected_new = n * (n - 3) // 2
-    eq = quadric_ideals_equal(substituted + carried, minimal_base_quadrics(n))
+    eq = _same_quadric_ideal(span, substituted + carried, minimal_base_quadrics(n))
     ok = (
         not mismatches
         and new_rank == expected_new

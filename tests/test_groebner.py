@@ -2,19 +2,26 @@
 and syzygies, with independent oracles where the result is not forced
 by construction."""
 
+import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from versaldef import groebner
 from versaldef.groebner import (
     Budget,
     BudgetExceeded,
+    DEFAULT_BUDGET,
     DEGREVLEX,
     LEX,
     GroebnerBasis,
     Ideal,
+    MonomialOrder,
+    _Engine,
+    _KeyCache,
     block_order,
     buchberger,
     contains,
@@ -94,6 +101,16 @@ def test_eliminate_kernel_of_parametrization():
     expect_reg = out.registry
     expect = parse("z1^3 - z2^2", expect_reg)
     assert ideal_equal(out, Ideal(expect_reg, [expect]))
+
+
+def test_eliminate_sorts_generators_ascending():
+    # kernel of t -> (t, t^2, t^3), the twisted cubic
+    reg = build_registry(nz=3, t=True)
+    gens = [parse(f"z{k} - t^{k}", reg) for k in (1, 2, 3)]
+    out = eliminate(Ideal(reg, gens), ["t"])
+    key = _KeyCache(DEGREVLEX, out.registry)
+    keys = [key(min(p.terms, key=key)) for p in out.generators]
+    assert len(keys) > 1 and keys == sorted(keys, reverse=True)
 
 
 def test_eliminate_rejects_unknown_variable():
@@ -196,3 +213,109 @@ def test_non_unit_leading_coefficient_gives_exact_basis():
     coeffs = [c for vec in mod.vectors for v in vec for c in v.terms.values()]
     assert any(type(c) is Fraction for c in coeffs)
     assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in coeffs)
+
+
+# ---------------------------------------------------------------------------
+# order keys and the caches built on them
+
+KEY_REG = build_registry(nz=5)
+KEY_DROP = (1, 3)
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def _lex_cmp(a, b):
+    """Lex: the first variable whose exponents differ decides, the larger
+    exponent giving the larger monomial."""
+    return next((_cmp(x, y) for x, y in zip(a, b) if x != y), 0)
+
+
+def _degrevlex_cmp(a, b):
+    """Degrevlex: the larger total degree wins; on a tie the last variable
+    whose exponents differ decides, the smaller exponent winning."""
+    if sum(a) != sum(b):
+        return _cmp(sum(a), sum(b))
+    return next((_cmp(y, x) for x, y in zip(reversed(a), reversed(b)) if x != y), 0)
+
+
+def _block_cmp(a, b):
+    """Block: lex on the dropped variables, then degrevlex on the rest."""
+    kept = [v for v in range(len(a)) if v not in KEY_DROP]
+    return _lex_cmp([a[v] for v in KEY_DROP], [b[v] for v in KEY_DROP]) or _degrevlex_cmp(
+        [a[v] for v in kept], [b[v] for v in kept]
+    )
+
+
+_sparse_exponents = st.lists(
+    st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=KEY_REG.nvars, max_size=KEY_REG.nvars
+).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sparse_exponents, min_size=2, max_size=40, unique=True))
+def test_order_keys_match_textbook_comparators(exponents):
+    monos = [tuple((v, e) for v, e in enumerate(x) if e) for x in exponents]
+    dense = dict(zip(monos, exponents))
+    order_block = block_order(KEY_REG, [KEY_REG.vars[v].name for v in KEY_DROP])
+    assert order_block.block == KEY_DROP
+    for order, cmp in ((DEGREVLEX, _degrevlex_cmp), (LEX, _lex_cmp), (order_block, _block_cmp)):
+        textbook = functools.cmp_to_key(lambda a, b: cmp(dense[a], dense[b]))
+        descending = sorted(monos, key=textbook, reverse=True)
+        # a smaller key is a larger monomial
+        assert sorted(monos, key=_KeyCache(order, KEY_REG)) == descending, order
+
+
+BASE_LEADS_6 = (
+    "a_2_4*a_2_6 a_2_3*a_2_6 a_2_4*a_2_5 a_2_3*a_2_5 a_2_3*a_2_4 a_1_4*a_1_6 "
+    "a_1_3*a_1_6 a_1_2*a_1_6 a_1_4*a_1_5 a_1_3*a_1_5 a_1_2*a_1_5 a_1_3*a_1_4 "
+    "a_1_2*a_1_4 a_1_2*a_1_3 a_2_5^2*a_2_6 a_1_5^2*a_1_6"
+)
+
+
+def test_leading_monomials_of_the_base_bases_are_pinned():
+    from versaldef.versal import _base_gb, _mixed_base_gb
+
+    for gb in (_base_gb(6), _mixed_base_gb(6)):
+        leads = [str(Polynomial._raw(gb.registry, {m: 1})) for m in gb.leading_monomials()]
+        assert " ".join(leads) == BASE_LEADS_6
+
+
+def test_normal_forms_share_one_key_cache(lines_gb, monkeypatch):
+    calls = Counter()
+    key_func = MonomialOrder.key_func
+
+    def counting(order, reg):
+        f = key_func(order, reg)
+        return lambda m: calls.update([m]) or f(m)
+
+    monkeypatch.setattr(MonomialOrder, "key_func", counting)
+    gb = GroebnerBasis(lines_gb.registry, lines_gb.order, lines_gb.basis)
+    p = _p("z1^2*z2 + 3*z2*z3 - y*z1 + z1*z2*z3")
+    assert normal_form(p, gb) == normal_form(p, gb)
+    assert calls and max(calls.values()) == 1
+
+
+def test_interreduction_rescales_only_changed_items(monkeypatch):
+    from versaldef.versal import base_ideal
+
+    ideal = base_ideal(6, minimal=True)
+    eng = _Engine(Ideal(ideal.registry, []), DEGREVLEX, DEFAULT_BUDGET, record=False)
+    seeds = [(dict(p.terms), {}) for p in ideal.generators]
+    counts = Counter()
+    monic, reduce_terms = groebner._monic, groebner._reduce_terms
+
+    def counting_monic(terms, lt):
+        counts["monic"] += 1
+        return monic(terms, lt)
+
+    def counting_reduce(terms, *args):
+        rem, quot = reduce_terms(terms, *args)
+        counts["changed"] += rem != terms
+        return rem, quot
+
+    monkeypatch.setattr(groebner, "_monic", counting_monic)
+    monkeypatch.setattr(groebner, "_reduce_terms", counting_reduce)
+    out = eng._interreduce(seeds)
+    assert out and counts["monic"] <= len(seeds) + counts["changed"]

@@ -295,6 +295,27 @@ def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
     assert calls == []
 
 
+def test_induction_system_is_eliminated_once(monkeypatch):
+    """carried, then substituted, then the target twice (alone and on top
+    of the induction system), then the full family for T2: every other
+    elimination of the same quadrics is a repeat."""
+    from versaldef.linalg import SparseEliminator
+
+    rows = []
+    add = SparseEliminator.add
+    monkeypatch.setattr(
+        SparseEliminator, "add", lambda self, row: rows.append(row) or add(self, row)
+    )
+    report = base_equals_total(6)
+    assert report.ok
+    substituted, carried = _induction_systems(6)
+    target = minimal_base_quadrics(6)
+    expected = len(carried) + len(substituted) + 2 * len(target) + len(quadric_index_set(6))
+    assert len(rows) == expected
+    assert report.carried_rank == span_rank(carried)
+    assert report.combined_rank == span_rank(carried + substituted)
+
+
 def _perturbed(p):
     """p with the coefficient of its first term raised by one."""
     mono = next(iter(p.terms))
