@@ -7,6 +7,14 @@ fully reduced one, sorted ascending in the term order.  The product and
 chain criteria prune pairs in plain runs; syzygy-recording runs process
 every pair so that the zero reductions generate the full syzygy module.
 
+Inside the engine a monomial is one int, its packed exponent vector for
+the (order, registry) pair (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998; see
+:class:`_Packing`): a larger int is a larger monomial, a product is an
+addition and a divisibility test is one masked subtraction.  Monomials
+are packed on entry and unpacked on exit, so polynomials and every result
+keep the sparse tuples of :mod:`versaldef.poly`.
+
 All potentially runaway loops are guarded by an explicit :class:`Budget`;
 exhaustion raises :class:`BudgetExceeded` and is never silent.
 """
@@ -23,15 +31,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .linalg import SparseEliminator
 from .poly import (
     Mono,
-    MONO_ONE,
     Polynomial,
     Scalar,
     VarRegistry,
     _exact,
     mono_coprime,
     mono_degree,
-    mono_div,
-    mono_divides,
     mono_lcm,
     mono_mul,
     weighted_degree,
@@ -76,58 +81,6 @@ class MonomialOrder:
     kind: str
     block: tuple = ()
 
-    def key_func(self, reg: VarRegistry):
-        """The order's descending key: a smaller key means a larger
-        monomial, so a min-heap of keys pops the largest monomial first
-        and the leading monomial is ``min(terms, key=key)``."""
-        nv = reg.nvars
-        if self.kind == "degrevlex":
-
-            def key(m: Mono):
-                dense = [0] * nv
-                deg = 0
-                for v, e in m:
-                    dense[v] = e
-                    deg += e
-                dense.append(-deg)
-                dense.reverse()
-                return tuple(dense)
-
-            return key
-        if self.kind == "lex":
-
-            def key(m: Mono):
-                dense = [0] * nv
-                for v, e in m:
-                    dense[v] = -e
-                return tuple(dense)
-
-            return key
-        if self.kind == "block":
-            drop = self.block
-            dpos = {v: i for i, v in enumerate(drop)}
-            keep = [i for i in range(nv) if i not in dpos]
-            kpos = {v: i for i, v in enumerate(keep)}
-            nd, nk = len(drop), len(keep)
-
-            def key(m: Mono):
-                dd = [0] * nd
-                dk = [0] * nk
-                deg = 0
-                for v, e in m:
-                    di = dpos.get(v)
-                    if di is not None:
-                        dd[di] = -e
-                    else:
-                        dk[kpos[v]] = e
-                        deg += e
-                dd.append(-deg)
-                dd.extend(reversed(dk))
-                return tuple(dd)
-
-            return key
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
@@ -138,22 +91,101 @@ def block_order(reg: VarRegistry, drop_names: Iterable[str]) -> MonomialOrder:
     return MonomialOrder("block", drop)
 
 
-class _KeyCache:
-    """Memoised descending order key; the same monomials recur heavily in
-    reductions."""
+# Bits per packed field, its top bit a guard.  A wider field makes every
+# packed int longer; 16 bits hold degrees up to 32767, far above any
+# monomial of the paper.
+FIELD_BITS = 16
+_MAX_FIELD = (1 << (FIELD_BITS - 1)) - 1
 
-    __slots__ = ("f", "cache")
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"a monomial exponent or degree exceeds {_MAX_FIELD}, "
+                         f"the largest a {FIELD_BITS}-bit packed field holds")
+
+
+class _Packing:
+    """One int per monomial for a fixed (order, registry) pair.
+
+    P(m) = P(1) + sum(e_v * unit[v]) lays out FIELD_BITS-bit fields, most
+    significant first in comparison order: the dropped block's exponents
+    (every variable under lex), then, if any variable is kept, the kept
+    degree and the complemented kept exponents _MAX_FIELD - e in reverse
+    (degrevlex keeps every variable).  Every field of a valid packing lies
+    in [0, _MAX_FIELD], so its top bit, the guard, is clear.  Hence a
+    larger int is a larger monomial, P(ab) = P(a) + P(b) - P(1), and a | b
+    iff (P(b) - P(a) + bias) & guard == plain, the guard bits of the plain
+    (not complemented) fields: bias adds half a field to each field, less
+    one to a complemented one, so with no borrow between fields a guard
+    bit of the sum is set iff a plain field did not shrink or a
+    complemented one grew.  A product out of range sets some guard bit.
+    """
 
     def __init__(self, order: MonomialOrder, reg: VarRegistry) -> None:
-        self.f = order.key_func(reg)
-        self.cache: dict = {}
+        if order.kind not in ("degrevlex", "lex", "block"):
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        nv = reg.nvars
+        drop = range(nv) if order.kind == "lex" else order.block
+        keep = [v for v in range(nv) if v not in drop]
+        layout = [(v, False) for v in drop]
+        if keep:
+            layout += [(None, False)] + [(v, True) for v in reversed(keep)]
+        half = 1 << (FIELD_BITS - 1)
+        self.unit = [0] * nv
+        self.one = self.guard = self.plain = self.bias = deg = 0
+        self.fields = []
+        for i, (v, complemented) in enumerate(layout):
+            shift = FIELD_BITS * (len(layout) - 1 - i)
+            bit = 1 << shift
+            self.guard += half * bit
+            if complemented:
+                self.unit[v] = deg - bit
+                self.one += _MAX_FIELD * bit
+                self.bias -= bit
+            else:
+                self.plain += half * bit
+                if v is None:
+                    deg = bit
+                else:
+                    self.unit[v] = bit
+            if v is not None:
+                self.fields.append((v, shift, complemented))
+        self.bias += self.guard
+        self.fields.sort()
 
-    def __call__(self, m: Mono):
-        got = self.cache.get(m)
-        if got is None:
-            got = self.f(m)
-            self.cache[m] = got
-        return got
+    def encode(self, m: Mono) -> int:
+        if mono_degree(m) > _MAX_FIELD:
+            raise _overflow()
+        p = self.one
+        for v, e in m:
+            p += e * self.unit[v]
+        return p
+
+    def decode(self, p: int) -> Mono:
+        mask = (1 << FIELD_BITS) - 1
+        out = []
+        for v, shift, complemented in self.fields:
+            e = (p >> shift) & mask
+            if complemented:
+                e = _MAX_FIELD - e
+            if e:
+                out.append((v, e))
+        return tuple(out)
+
+    def pack(self, terms: dict) -> dict:
+        return {self.encode(m): c for m, c in terms.items()}
+
+    def unpack(self, terms: dict) -> dict:
+        return {self.decode(m): c for m, c in terms.items()}
+
+    def divides(self, a: int, b: int) -> bool:
+        return (b - a + self.bias) & self.guard == self.plain
+
+    def shift(self, terms: Iterable[Tuple[int, Scalar]], d: int, coeff: Scalar = 1) -> dict:
+        """{m*q: c*coeff} for the (m, c) in terms, where d = P(q) - P(1)."""
+        out = {m + d: c * coeff for m, c in terms}
+        if d and any(m & self.guard for m in out):
+            raise _overflow()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +249,7 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """The reduced Groebner basis of an ideal for a fixed order.  Its
-    order-key cache and leading monomials are built once, on first use,
+    packed reducers and leading monomials are built once, on first use,
     and shared by every reduction against it."""
 
     registry: VarRegistry
@@ -226,80 +258,80 @@ class GroebnerBasis:
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def _key(self) -> _KeyCache:
-        return _KeyCache(self.order, self.registry)
+    def _packed(self) -> Tuple[_Packing, list]:
+        pk = _Packing(self.order, self.registry)
+        reducers = []
+        for p in self.basis:
+            terms = pk.pack(p.terms)
+            reducers.append(_reducer(terms, max(terms)))
+        return pk, reducers
 
     @cached_property
     def _lts(self) -> tuple:
-        return tuple(min(p.terms, key=self._key) for p in self.basis)
+        pk, reducers = self._packed
+        return tuple(pk.decode(lt) for lt, _ in reducers)
 
     def leading_monomials(self) -> tuple:
         return self._lts
 
 
 # ---------------------------------------------------------------------------
-# the reduction core (works on raw term dicts)
+# the reduction core (works on packed term dicts)
 
 
-def _shift(terms: dict, mono: Mono, coeff: Scalar = 1) -> dict:
-    if mono == MONO_ONE and coeff == 1:
-        return dict(terms)
-    return {mono_mul(m, mono): c * coeff for m, c in terms.items()}
+def _reducer(monic: dict, lt: int) -> Tuple[int, tuple]:
+    """(lt, tail) of a monic packed polynomial; the tail is shifted as it
+    is by every reduction step that uses it."""
+    return lt, tuple((m, c) for m, c in monic.items() if m != lt)
 
 
 def _reduce_terms(
     terms: dict,
-    lts: Sequence[Mono],
-    polys: Sequence[dict],
-    key: _KeyCache,
+    reducers: Sequence[Tuple[int, tuple]],
+    pk: _Packing,
     budget: Budget,
     record: bool = False,
 ) -> Tuple[dict, Optional[Dict[int, dict]]]:
-    """Complete reduction of a term dict against monic (lts, polys).
+    """Complete reduction of a packed term dict against monic reducers
+    (leading monomial, tail), all packed by pk.
 
-    Returns (normal form, quotients) where quotients[k] is the term dict
-    of the cofactor of polys[k] (only when record=True).  The normal
-    form's coefficients are exact: ints where integral.  The reducer of
-    a term is the first one in index order whose leading monomial
-    divides it; a support bitmask per monomial screens out reducers
-    with a variable the term lacks before ``mono_divides`` runs.
+    Returns (normal form, quotients) where quotients[k] maps the shift
+    P(q) - P(1) of each term q of the cofactor of reducers[k] to its
+    coefficient (only when record=True).  The normal form's coefficients
+    are exact: ints where integral.  The reducer of a term is the first
+    one in index order whose leading monomial divides it.
     """
     rem: dict = {}
     work = dict(terms)
-    heap = [(key(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     quot: Optional[Dict[int, dict]] = {} if record else None
-    masks = [sum(1 << v for v, _ in lt) for lt in lts]
+    bias, guard, plain = pk.bias, pk.guard, pk.plain
+    offsets = [bias - lt for lt, _ in reducers]
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
+        m = -heapq.heappop(heap)
+        c = work.pop(m, None)
         if c is None:
             continue
-        outside = ~sum(1 << v for v, _ in m)
-        red = -1
-        for k, mask in enumerate(masks):
-            if not mask & outside and mono_divides(lts[k], m):
-                red = k
+        for k, off in enumerate(offsets):
+            x = m + off
+            if x & guard == plain:
                 break
-        if red < 0:
-            del work[m]
+        else:
             rem[m] = _exact(c)
             continue
-        q = mono_div(m, lts[red])
-        del work[m]
+        d = x - bias  # P(m / lt) - P(1)
         if record:
-            qd = quot.setdefault(red, {})
-            qd[q] = qd.get(q, 0) + c
-        gp = polys[red]
-        lt = lts[red]
-        for mb, cb in gp.items():
-            if mb == lt:
-                continue
-            mm = mono_mul(mb, q)
+            qd = quot.setdefault(k, {})
+            qd[d] = qd.get(d, 0) + c
+        for mb, cb in reducers[k][1]:
+            mm = mb + d
             acc = work.get(mm)
             if acc is None:
+                if mm & guard:
+                    raise _overflow()
                 work[mm] = -c * cb
-                heapq.heappush(heap, (key(mm), mm))
+                heapq.heappush(heap, -mm)
             else:
                 acc = acc - c * cb
                 if acc:
@@ -311,19 +343,32 @@ def _reduce_terms(
     return rem, quot
 
 
-def _monic(terms: dict, lt: Mono) -> Tuple[Scalar, dict]:
+def _monic(terms: dict, lt: int) -> Tuple[Scalar, dict]:
     """(1/c, terms/c) for the coefficient c of lt.  This is the engine's
     only division; its results are exact (ints where integral)."""
     inv = _exact(Fraction(1) / terms[lt])
     return inv, {m: _exact(c * inv) for m, c in terms.items()}
 
 
+def _spoly(pk: _Packing, a: Tuple[int, tuple], b: Tuple[int, tuple], lcm: int) -> dict:
+    """The S-polynomial of two monic reducers at their packed lcm; the
+    leading terms cancel, so only the tails are shifted."""
+    s = pk.shift(a[1], lcm - a[0])
+    for m, c in pk.shift(b[1], lcm - b[0]).items():
+        acc = s.get(m, 0) - c
+        if acc:
+            s[m] = acc
+        elif m in s:
+            del s[m]
+    return s
+
+
 # ---------------------------------------------------------------------------
 # row bookkeeping for syzygy recording
 
 
-def _row_scale_shift(row: Dict[int, dict], mono: Mono, coeff: Scalar) -> Dict[int, dict]:
-    return {i: _shift(d, mono, coeff) for i, d in row.items()}
+def _row_scale_shift(pk: _Packing, row: Dict[int, dict], d: int, coeff: Scalar) -> Dict[int, dict]:
+    return {i: pk.shift(t.items(), d, coeff) for i, t in row.items()}
 
 
 def _row_sub(acc: Dict[int, dict], other: Dict[int, dict]) -> None:
@@ -351,20 +396,18 @@ class _Engine:
         budget: Budget,
         record: bool,
     ) -> None:
-        self.reg = ideal.registry
-        self.order = order
         self.budget = budget
         self.record = record
-        self.key = _KeyCache(order, self.reg)
-        self.lts: List[Mono] = []
-        self.polys: List[dict] = []
+        self.pk = _Packing(order, ideal.registry)
+        self.lts: List[Mono] = []  # sparse, for the lcm and its degree
+        self.reducers: List[Tuple[int, tuple]] = []
         self.rows: List[Dict[int, dict]] = []
         self.syzygy_rows: List[Dict[int, dict]] = []
         self.stats = {"pairs_processed": 0, "zero_reductions": 0}
 
         seeds: List[Tuple[dict, Dict[int, dict]]] = []
         for gi, p in enumerate(ideal.generators):
-            seeds.append((dict(p.terms), {gi: {MONO_ONE: 1}}))
+            seeds.append((self.pk.pack(p.terms), {gi: {self.pk.one: 1}}))
         if not record:
             seeds = [(t, r) for t, r in seeds if t]
             seeds = self._interreduce(seeds)
@@ -373,8 +416,9 @@ class _Engine:
 
     def _interreduce(self, seeds):
         """Mutual reduction of the input set (plain runs only): Gauss-Seidel
-        sweeps until nothing changes.  Each item's leading monomial and
-        monic form are kept and recomputed only when the item changes."""
+        sweeps until nothing changes.  Each item's reducer (leading
+        monomial and monic tail) is kept and rebuilt only when the item
+        changes."""
         items = [t for t, _ in seeds]
         heads = [self._head(x) for x in items]
         changed = True
@@ -386,33 +430,28 @@ class _Engine:
                 others = [h for k, h in enumerate(heads) if k != i and h]
                 if not others:
                     continue
-                rem, _ = _reduce_terms(
-                    items[i],
-                    [lt for lt, _ in others],
-                    [monic for _, monic in others],
-                    self.key,
-                    self.budget,
-                )
+                rem, _ = _reduce_terms(items[i], others, self.pk, self.budget)
                 if rem != items[i]:
                     items[i] = rem
                     heads[i] = self._head(rem) if rem else None
                     changed = True
         return [(x, {}) for x in items if x]
 
-    def _head(self, terms: dict) -> Tuple[Mono, dict]:
-        lt = min(terms, key=self.key)
-        return lt, _monic(terms, lt)[1]
+    def _head(self, terms: dict) -> Tuple[int, tuple]:
+        lt = max(terms)
+        return _reducer(_monic(terms, lt)[1], lt)
 
     def _push(self, terms: dict, row: Dict[int, dict]) -> int:
-        lt = min(terms, key=self.key)
+        lt = max(terms)
         inv, monic = _monic(terms, lt)
-        self.lts.append(lt)
-        self.polys.append(monic)
+        self.lts.append(self.pk.decode(lt))
+        self.reducers.append(_reducer(monic, lt))
         if self.record:
-            self.rows.append(_row_scale_shift(row, MONO_ONE, inv))
+            self.rows.append(_row_scale_shift(self.pk, row, 0, inv))
         return len(self.lts) - 1
 
     def run(self) -> None:
+        pk = self.pk
         pq: List[Tuple[int, int, int]] = []
         for i, j in itertools.combinations(range(len(self.lts)), 2):
             lcm = mono_lcm(self.lts[i], self.lts[j])
@@ -426,33 +465,21 @@ class _Engine:
                 raise BudgetExceeded("s-pairs", self.budget.max_pairs, "buchberger")
             done.add((i, j))
             lti, ltj = self.lts[i], self.lts[j]
-            if not self.record:
-                if mono_coprime(lti, ltj):
-                    continue
-                lcm = mono_lcm(lti, ltj)
-                if self._chain_skip(i, j, lcm, done):
-                    continue
-            else:
-                lcm = mono_lcm(lti, ltj)
-            ui = mono_div(lcm, lti)
-            uj = mono_div(lcm, ltj)
-            s = _shift(self.polys[i], ui)
-            for m, c in _shift(self.polys[j], uj).items():
-                acc = s.get(m, 0) - c
-                if acc:
-                    s[m] = acc
-                elif m in s:
-                    del s[m]
-            rem, quot = _reduce_terms(
-                s, self.lts, self.polys, self.key, self.budget, self.record
-            )
+            if not self.record and mono_coprime(lti, ltj):
+                continue
+            lcm = pk.encode(mono_lcm(lti, ltj))
+            if not self.record and self._chain_skip(i, j, lcm, done):
+                continue
+            ri, rj = self.reducers[i], self.reducers[j]
+            s = _spoly(pk, ri, rj, lcm)
+            rem, quot = _reduce_terms(s, self.reducers, pk, self.budget, self.record)
             row: Dict[int, dict] = {}
             if self.record:
-                row = _row_scale_shift(self.rows[i], ui, 1)
-                _row_sub(row, _row_scale_shift(self.rows[j], uj, 1))
+                row = _row_scale_shift(pk, self.rows[i], lcm - ri[0], 1)
+                _row_sub(row, _row_scale_shift(pk, self.rows[j], lcm - rj[0], 1))
                 for k, qd in quot.items():
-                    for qm, qc in qd.items():
-                        _row_sub(row, _row_scale_shift(self.rows[k], qm, qc))
+                    for qd_shift, qc in qd.items():
+                        _row_sub(row, _row_scale_shift(pk, self.rows[k], qd_shift, qc))
             if rem:
                 new = self._push(rem, row)
                 for k in range(new):
@@ -465,11 +492,11 @@ class _Engine:
         self.stats["pairs_processed"] = pops
         self.stats["basis_size_raw"] = len(self.lts)
 
-    def _chain_skip(self, i: int, j: int, lcm: Mono, done: set) -> bool:
-        for k in range(len(self.lts)):
+    def _chain_skip(self, i: int, j: int, lcm: int, done: set) -> bool:
+        for k, (lt, _) in enumerate(self.reducers):
             if k == i or k == j:
                 continue
-            if mono_divides(self.lts[k], lcm):
+            if self.pk.divides(lt, lcm):
                 p1 = (i, k) if i < k else (k, i)
                 p2 = (j, k) if j < k else (k, j)
                 if p1 in done and p2 in done:
@@ -477,23 +504,19 @@ class _Engine:
         return False
 
     def reduced_basis(self) -> List[dict]:
-        order_idx = sorted(
-            range(len(self.lts)), key=lambda k: self.key(self.lts[k]), reverse=True
-        )
-        kept: List[int] = []
-        kept_lts: List[Mono] = []
-        for k in order_idx:
-            lt = self.lts[k]
-            if any(mono_divides(kl, lt) for kl in kept_lts):
-                continue
-            kept.append(k)
-            kept_lts.append(lt)
-        out = [dict(self.polys[k]) for k in kept]
-        for pos in range(len(out)):
-            lts = [kept_lts[q] for q in range(len(out)) if q != pos]
-            polys = [out[q] for q in range(len(out)) if q != pos]
-            rem, _ = _reduce_terms(out[pos], lts, polys, self.key, self.budget)
-            out[pos] = rem
+        """The minimal leading monomials, ascending, each polynomial
+        reduced against the others (Gauss-Seidel, so later items see the
+        reduced earlier ones)."""
+        kept: List[Tuple[int, tuple]] = []
+        for lt, tail in sorted(self.reducers, key=lambda r: r[0]):
+            if not any(self.pk.divides(kl, lt) for kl, _ in kept):
+                kept.append((lt, tail))
+        out = []
+        for pos, (lt, tail) in enumerate(kept):
+            others = kept[:pos] + kept[pos + 1:]
+            rem, _ = _reduce_terms(dict(((lt, 1),) + tail), others, self.pk, self.budget)
+            kept[pos] = _reducer(rem, lt)
+            out.append(rem)
         return out
 
 
@@ -510,7 +533,7 @@ def buchberger(
     eng = _Engine(ideal, order, budget, record=False)
     eng.run()
     basis = eng.reduced_basis()
-    polys = tuple(Polynomial._raw(ideal.registry, t) for t in basis)
+    polys = tuple(Polynomial._raw(ideal.registry, eng.pk.unpack(t)) for t in basis)
     return GroebnerBasis(ideal.registry, order, polys, dict(eng.stats))
 
 
@@ -518,9 +541,9 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGE
     """Complete normal form of p against the basis; 0 iff p is a member."""
     if p.reg != gb.registry:
         raise ValueError("polynomial and basis live over different registries")
-    polys = [q.terms for q in gb.basis]
-    rem, _ = _reduce_terms(dict(p.terms), gb._lts, polys, gb._key, budget)
-    return Polynomial._raw(gb.registry, rem)
+    pk, reducers = gb._packed
+    rem, _ = _reduce_terms(pk.pack(p.terms), reducers, pk, budget)
+    return Polynomial._raw(gb.registry, pk.unpack(rem))
 
 
 def contains(gb: GroebnerBasis, p: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -563,26 +586,19 @@ def eliminate(
             tuple(sorted((remap[v], e) for v, e in m)): c for m, c in p.terms.items()
         }
         out.append(Polynomial._raw(sub, terms))
-    key = _KeyCache(DEGREVLEX, sub)
-    out.sort(key=lambda q: key(min(q.terms, key=key)), reverse=True)
+    pk = _Packing(DEGREVLEX, sub)
+    out.sort(key=lambda q: max(map(pk.encode, q.terms)))
     return Ideal(sub, out)
 
 
 def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Internal consistency pass: every S-polynomial of the final basis
     reduces to zero against it."""
+    pk, reducers = gb._packed
     lts = gb._lts
-    polys = [q.terms for q in gb.basis]
     for i, j in itertools.combinations(range(len(lts)), 2):
-        lcm = mono_lcm(lts[i], lts[j])
-        s = _shift(polys[i], mono_div(lcm, lts[i]))
-        for m, c in _shift(polys[j], mono_div(lcm, lts[j])).items():
-            acc = s.get(m, 0) - c
-            if acc:
-                s[m] = acc
-            elif m in s:
-                del s[m]
-        rem, _ = _reduce_terms(s, lts, polys, gb._key, budget)
+        lcm = pk.encode(mono_lcm(lts[i], lts[j]))
+        rem, _ = _reduce_terms(_spoly(pk, reducers[i], reducers[j], lcm), reducers, pk, budget)
         if rem:
             return False
     return True
@@ -663,7 +679,7 @@ def syzygies(
     reg = ideal.registry
     raw_vectors = []
     for row in eng.syzygy_rows:
-        vec = tuple(Polynomial(reg, row.get(i, {})) for i in range(len(gens)))
+        vec = tuple(Polynomial(reg, eng.pk.unpack(row.get(i, {}))) for i in range(len(gens)))
         if any(vec):
             raw_vectors.append(vec)
 
@@ -740,7 +756,8 @@ def _minimal_generator_count(
             e = degrees[k]
             for mono in monomials_of_weighted_degree(reg, d - e):
                 shifted = tuple(
-                    Polynomial._raw(reg, _shift(v.terms, mono)) for v in vectors[k]
+                    Polynomial._raw(reg, {mono_mul(m, mono): c for m, c in v.terms.items()})
+                    for v in vectors[k]
                 )
                 elim.add(_vector_row(shifted, gen_count, col_index))
         lower_rank = elim.rank

@@ -19,9 +19,8 @@ from versaldef.groebner import (
     LEX,
     GroebnerBasis,
     Ideal,
-    MonomialOrder,
     _Engine,
-    _KeyCache,
+    _Packing,
     block_order,
     buchberger,
     contains,
@@ -31,7 +30,7 @@ from versaldef.groebner import (
     recheck,
     syzygies,
 )
-from versaldef.poly import Polynomial, build_registry, parse
+from versaldef.poly import Polynomial, build_registry, mono_divides, mono_mul, parse
 
 REG = build_registry(nz=3, y=True)
 
@@ -108,9 +107,9 @@ def test_eliminate_sorts_generators_ascending():
     reg = build_registry(nz=3, t=True)
     gens = [parse(f"z{k} - t^{k}", reg) for k in (1, 2, 3)]
     out = eliminate(Ideal(reg, gens), ["t"])
-    key = _KeyCache(DEGREVLEX, out.registry)
-    keys = [key(min(p.terms, key=key)) for p in out.generators]
-    assert len(keys) > 1 and keys == sorted(keys, reverse=True)
+    pk = _Packing(DEGREVLEX, out.registry)
+    leads = [max(map(pk.encode, p.terms)) for p in out.generators]
+    assert len(leads) > 1 and leads == sorted(leads)
 
 
 def test_eliminate_rejects_unknown_variable():
@@ -216,7 +215,7 @@ def test_non_unit_leading_coefficient_gives_exact_basis():
 
 
 # ---------------------------------------------------------------------------
-# order keys and the caches built on them
+# packed monomials and the reducers built on them
 
 KEY_REG = build_registry(nz=5)
 KEY_DROP = (1, 3)
@@ -240,12 +239,20 @@ def _degrevlex_cmp(a, b):
     return next((_cmp(y, x) for x, y in zip(reversed(a), reversed(b)) if x != y), 0)
 
 
-def _block_cmp(a, b):
+def _block_cmp(drop):
     """Block: lex on the dropped variables, then degrevlex on the rest."""
-    kept = [v for v in range(len(a)) if v not in KEY_DROP]
-    return _lex_cmp([a[v] for v in KEY_DROP], [b[v] for v in KEY_DROP]) or _degrevlex_cmp(
-        [a[v] for v in kept], [b[v] for v in kept]
-    )
+
+    def cmp(a, b):
+        kept = [v for v in range(len(a)) if v not in drop]
+        return _lex_cmp([a[v] for v in drop], [b[v] for v in drop]) or _degrevlex_cmp(
+            [a[v] for v in kept], [b[v] for v in kept]
+        )
+
+    return cmp
+
+
+def _sparse(exponents):
+    return tuple((v, e) for v, e in enumerate(exponents) if e)
 
 
 _sparse_exponents = st.lists(
@@ -256,15 +263,62 @@ _sparse_exponents = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_sparse_exponents, min_size=2, max_size=40, unique=True))
 def test_order_keys_match_textbook_comparators(exponents):
-    monos = [tuple((v, e) for v, e in enumerate(x) if e) for x in exponents]
+    monos = [_sparse(x) for x in exponents]
     dense = dict(zip(monos, exponents))
     order_block = block_order(KEY_REG, [KEY_REG.vars[v].name for v in KEY_DROP])
     assert order_block.block == KEY_DROP
-    for order, cmp in ((DEGREVLEX, _degrevlex_cmp), (LEX, _lex_cmp), (order_block, _block_cmp)):
+    for order, cmp in ((DEGREVLEX, _degrevlex_cmp), (LEX, _lex_cmp), (order_block, _block_cmp(KEY_DROP))):
         textbook = functools.cmp_to_key(lambda a, b: cmp(dense[a], dense[b]))
         descending = sorted(monos, key=textbook, reverse=True)
-        # a smaller key is a larger monomial
-        assert sorted(monos, key=_KeyCache(order, KEY_REG)) == descending, order
+        # a larger packed int is a larger monomial
+        assert sorted(monos, key=_Packing(order, KEY_REG).encode, reverse=True) == descending, order
+
+
+# registries with the weight-2 y; the degree of an order is unweighted
+PACK_REGS = (build_registry(nz=4, y=True), build_registry(nz=3, y=True, npairs=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packing_round_trips_multiplies_divides_and_orders(data):
+    reg = data.draw(st.sampled_from(PACK_REGS))
+    vector = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=reg.nvars, max_size=reg.nvars)
+    exponents = data.draw(st.lists(vector.map(tuple), min_size=2, max_size=12, unique=True))
+    monos = [_sparse(x) for x in exponents]
+    dense = dict(zip(monos, exponents))
+    block = block_order(reg, ["z2", "y"])
+    for order, cmp in ((DEGREVLEX, _degrevlex_cmp), (LEX, _lex_cmp), (block, _block_cmp(block.block))):
+        pk = _Packing(order, reg)
+        packed = {m: pk.encode(m) for m in monos}
+        for a in monos:
+            assert pk.decode(packed[a]) == a
+            for b in monos:
+                ab = mono_mul(a, b)
+                assert pk.encode(ab) == packed[a] + packed[b] - pk.one
+                for x, y in ((a, b), (a, ab), (ab, a)):
+                    assert pk.divides(pk.encode(x), pk.encode(y)) == mono_divides(x, y)
+        textbook = functools.cmp_to_key(lambda a, b: cmp(dense[a], dense[b]))
+        descending = sorted(monos, key=textbook, reverse=True)
+        assert sorted(monos, key=packed.get, reverse=True) == descending, order
+
+
+def test_exponent_beyond_the_packed_field_raises():
+    big = groebner._MAX_FIELD + 1
+    gb = buchberger(Ideal(REG, [_p("z1*z2 - y")]))
+    with pytest.raises(OverflowError):
+        normal_form(_p(f"z3^{big}"), gb)
+    with pytest.raises(OverflowError):
+        buchberger(Ideal(REG, [_p(f"z1^{big} - y")]))
+    # each input fits; a product formed while reducing or pairing does not
+    lex_gb = buchberger(Ideal(REG, [_p("z1 - z2^20000")]), LEX)
+    with pytest.raises(OverflowError):
+        normal_form(_p("z1^2"), lex_gb)
+    with pytest.raises(OverflowError):
+        buchberger(Ideal(REG, [_p("z1 - z2^20000"), _p("z1^2")]), LEX)
+    with pytest.raises(OverflowError):
+        buchberger(Ideal(REG, [_p("z1*z2 - z3^20000"), _p("z1*z3^20000 - z2")]), LEX)
+    with pytest.raises(OverflowError):
+        buchberger(Ideal(REG, [_p("z1^20000*z2 - z3"), _p("z1*z2^20000 - z3")]))
 
 
 BASE_LEADS_6 = (
@@ -282,19 +336,26 @@ def test_leading_monomials_of_the_base_bases_are_pinned():
         assert " ".join(leads) == BASE_LEADS_6
 
 
-def test_normal_forms_share_one_key_cache(lines_gb, monkeypatch):
-    calls = Counter()
-    key_func = MonomialOrder.key_func
+def test_normal_forms_pack_the_basis_once(lines_gb, monkeypatch):
+    made = Counter()
+    reducer = groebner._reducer
 
-    def counting(order, reg):
-        f = key_func(order, reg)
-        return lambda m: calls.update([m]) or f(m)
+    class CountingPacking(_Packing):
+        def __init__(self, *args):
+            made["packing"] += 1
+            super().__init__(*args)
 
-    monkeypatch.setattr(MonomialOrder, "key_func", counting)
+    def counting_reducer(monic, lt):
+        made["reducer"] += 1
+        return reducer(monic, lt)
+
+    monkeypatch.setattr(groebner, "_Packing", CountingPacking)
+    monkeypatch.setattr(groebner, "_reducer", counting_reducer)
     gb = GroebnerBasis(lines_gb.registry, lines_gb.order, lines_gb.basis)
     p = _p("z1^2*z2 + 3*z2*z3 - y*z1 + z1*z2*z3")
     assert normal_form(p, gb) == normal_form(p, gb)
-    assert calls and max(calls.values()) == 1
+    assert recheck(gb) and gb.leading_monomials()
+    assert made == {"packing": 1, "reducer": len(gb.basis)}
 
 
 def test_interreduction_rescales_only_changed_items(monkeypatch):
@@ -302,7 +363,7 @@ def test_interreduction_rescales_only_changed_items(monkeypatch):
 
     ideal = base_ideal(6, minimal=True)
     eng = _Engine(Ideal(ideal.registry, []), DEGREVLEX, DEFAULT_BUDGET, record=False)
-    seeds = [(dict(p.terms), {}) for p in ideal.generators]
+    seeds = [(eng.pk.pack(p.terms), {}) for p in ideal.generators]
     counts = Counter()
     monic, reduce_terms = groebner._monic, groebner._reduce_terms
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,29 @@ def test_run_suites_writes_and_diffs_reports(run_suites, tmp_path, capsys):
     ) == 0
     assert (second / "axes.json").read_text() == (first / "axes.json").read_text()
     assert "regression" not in capsys.readouterr().out
+
+
+def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
+    bench_grid = _load("bench_grid")
+    monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)
+    path = tmp_path / "BENCH_smoke.json"
+    path.write_text(json.dumps({"label": "smoke", "grid": {"cells": [
+        {"suite": "identities", "n": 4, "side": "change", "wall_s": 99.0},
+        {"suite": "identities", "n": 4, "side": "parent", "wall_s": 98.0},
+    ]}}))
+    affinity = os.sched_getaffinity(0)
+    try:
+        assert bench_grid.main(
+            ["--suite", "identities", "--from", "4", "--to", "5", "--label", "smoke"]
+        ) == 0
+    finally:
+        os.sched_setaffinity(0, affinity)
+    data = json.loads(path.read_text())
+    assert data["label"] == "smoke"
+    cells = {(c["n"], c["side"]): c for c in data["grid"]["cells"]}
+    assert set(cells) == {(4, "change"), (5, "change"), (4, "parent")}
+    assert cells[(4, "parent")]["wall_s"] == 98.0
+    for n in (4, 5):
+        cell = cells[(n, "change")]
+        assert cell["ok"] and not cell["timed_out"]
+        assert 0 < cell["wall_s"] < 99 and cell["wall_ref"] > 0 and cell["peak_rss_mb"] > 0
