@@ -48,7 +48,6 @@ __all__ = [
     "lines_registry",
     "lines_ideal",
     "line_generator",
-    "difference_generators_full",
     "elliptic_monomial_table",
     "rational_monomial_table",
     "monomial_ideal",
@@ -155,16 +154,6 @@ def lines_ideal(n: int, presentation: str = G_FORM) -> Ideal:
         ]
         return Ideal(reg, gens)
     raise ValueError(f"unknown presentation {presentation!r}")
-
-
-def difference_generators_full(n: int) -> List[Polynomial]:
-    """All pairwise differences z_i*z_j - z_k*z_l (the redundant system)."""
-    reg = lines_registry(n, with_y=False)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    out = []
-    for (i, j), (k, l) in itertools.combinations(pairs, 2):
-        out.append(_zvar(reg, i) * _zvar(reg, j) - _zvar(reg, k) * _zvar(reg, l))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Hilbert series data of weighted-homogeneous quotients.
 
 The numerator of the Hilbert series of P/LT(I) over the common
-denominator prod_i (1 - T^{w_i}) is computed from the leading-term
-monomial ideal by the classic variable-splitting recursion.  The series
-is then brought to the reduced form h(T) / (1 - T)^dim, from which the
+denominator prod_i (1 - T^{w_i}) is computed from the minimal generators
+of the leading-term monomial ideal by the pivot algorithm of Bigatti
+("Computation of Hilbert-Poincare series", JPAA 119, 1997): generators
+in variable-disjoint components give the product of the components'
+numerators, and a component is split on its most shared variable.  A
+set of pairwise coprime generators is the case where every component is
+a single generator g, whose numerator is 1 - T^{deg g}.  The series is
+then brought to the reduced form h(T) / (1 - T)^dim, from which the
 Krull dimension, the multiplicity h(1) and the h-vector are read off.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .groebner import GroebnerBasis
-from .poly import Mono, weighted_degree
+from .poly import MONO_ONE, Mono, mono_degree, mono_divides, mono_weighted_degree, weighted_degree
 
 __all__ = ["HilbertData", "hilbert_data", "hilbert_function_values", "krull_dimension_of_monomials"]
 
@@ -79,82 +85,83 @@ def _poly_divide_exact(a: List[int], b: List[int]) -> List[int]:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Reduced Hilbert series data: series = numerator / (1-T)^dimension.
+    """Reduced Hilbert series data: series = h(T) / (1-T)^dimension.
 
-    ``h_vector`` is the coefficient list of the numerator and
-    ``multiplicity`` its value at T = 1.
+    ``h_vector`` is the coefficient list of h and ``multiplicity`` its
+    value at T = 1.
     """
 
     dimension: int
     multiplicity: int
     h_vector: tuple
-    numerator: tuple
 
 
-def _interreduce_monomials(gens: List[Dict[int, int]]) -> List[Dict[int, int]]:
-    out: List[Dict[int, int]] = []
-    gens = sorted(gens, key=lambda g: (sum(g.values()), sorted(g.items())))
-    for g in gens:
-        if any(_divides(h, g) for h in out):
-            continue
-        out.append(g)
+def _one_minus_t_power(w: int) -> List[int]:
+    return [1] + [0] * (w - 1) + [-1]
+
+
+def _minimalise(gens: Iterable[Mono]) -> List[Mono]:
+    """The minimal generators of the monomial ideal generated by ``gens``."""
+    out: List[Mono] = []
+    for g in sorted(set(gens), key=mono_degree):
+        if not any(mono_divides(h, g) for h in out):
+            out.append(g)
     return out
 
 
-def _divides(a: Dict[int, int], b: Dict[int, int]) -> bool:
-    return all(b.get(v, 0) >= e for v, e in a.items())
+def _colon(g: Mono, x: int) -> Mono:
+    """The generator of (g) : x: g with the exponent of x lowered by one."""
+    return tuple((v, e - (v == x)) for v, e in g if v != x or e > 1)
 
 
-def _numerator(gens: List[Dict[int, int]], weights: Sequence[int], cache: dict) -> List[int]:
-    gens = _interreduce_monomials(gens)
+def _components(gens: FrozenSet[Mono]) -> List[FrozenSet[Mono]]:
+    """The generators grouped into classes that share no variable."""
+    groups: List[Tuple[set, List[Mono]]] = []  # (variables, generators)
+    for g in gens:
+        support = {v for v, _ in g}
+        members = [g]
+        rest = []
+        for variables, group in groups:
+            if variables & support:
+                support |= variables
+                members += group
+            else:
+                rest.append((variables, group))
+        groups = rest + [(support, members)]
+    return [frozenset(members) for _, members in groups]
+
+
+def _numerator(gens: FrozenSet[Mono], weights: Sequence[int], cache: dict) -> List[int]:
+    """Numerator of the Hilbert series of P/(gens) over prod_i (1 - T^{w_i});
+    ``gens`` must be minimal generators of a monomial ideal."""
     if not gens:
         return [1]
-    if any(not g for g in gens):
+    if MONO_ONE in gens:
         return []
-    key = tuple(sorted(tuple(sorted(g.items())) for g in gens))
-    got = cache.get(key)
-    if got is not None:
-        return got
-
-    def wdeg(g: Dict[int, int]) -> int:
-        return sum(weights[v] * e for v, e in g.items())
-
-    # pairwise coprime: product formula
-    support_count: Dict[int, int] = {}
-    for g in gens:
-        for v in g:
-            support_count[v] = support_count.get(v, 0) + 1
-    if all(c == 1 for c in support_count.values()):
-        acc = [1]
-        for g in gens:
-            factor = [1] + [0] * (wdeg(g) - 1) + [-1]
-            acc = _poly_mul(acc, factor)
-        cache[key] = acc
-        return acc
-
-    # split on the most shared variable (lowest index on ties)
-    pivot = min(
-        (v for v, c in support_count.items() if c > 1),
-        key=lambda v: (-support_count[v], v),
-    )
-    # branch A: ideal + (pivot); gens containing pivot become redundant
-    rest = [g for g in gens if pivot not in g]
-    branch_a = _poly_mul([1] + [0] * (weights[pivot] - 1) + [-1], _numerator(rest, weights, cache))
-    # branch B: ideal : pivot
-    quo = []
-    for g in gens:
-        if pivot in g:
-            h = dict(g)
-            if h[pivot] == 1:
-                del h[pivot]
-            else:
-                h[pivot] -= 1
-            quo.append(h)
-        else:
-            quo.append(dict(g))
-    branch_b = _poly_shift(_numerator(quo, weights, cache), weights[pivot])
-    result = _poly_add(branch_a, branch_b)
-    cache[key] = result
+    if gens in cache:
+        return cache[gens]
+    parts = _components(gens)
+    if len(parts) > 1:
+        # variable-disjoint ideals: the numerator of the sum is the product
+        result = [1]
+        for part in parts:
+            result = _poly_mul(result, _numerator(part, weights, cache))
+    elif len(gens) == 1:
+        (g,) = gens
+        result = _one_minus_t_power(mono_weighted_degree(g, weights))
+    else:
+        # N(I) = N(I + (x)) + T^w_x N(I : x) on the most shared variable x
+        # (lowest index on ties); N(I + (x)) = (1 - T^w_x) N(gens without x)
+        count = Counter(v for g in gens for v, _ in g)
+        x = min(count, key=lambda v: (-count[v], v))
+        w = weights[x]
+        without = frozenset(g for g in gens if all(v != x for v, _ in g))
+        colon = frozenset(_minimalise(_colon(g, x) for g in gens))
+        result = _poly_add(
+            _poly_mul(_one_minus_t_power(w), _numerator(without, weights, cache)),
+            _poly_shift(_numerator(colon, weights, cache), w),
+        )
+    cache[gens] = result
     return result
 
 
@@ -173,8 +180,7 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
                 f"offending element: {p}"
             )
     weights = reg.weights
-    lead = [dict(m) for m in gb.leading_monomials()]
-    num = _numerator(lead, weights, {})
+    num = _numerator(frozenset(_minimalise(gb.leading_monomials())), weights, {})
 
     # divide off the non-(1-T) parts of the denominator
     reduced = num
@@ -182,7 +188,7 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
         if w > 1:
             reduced = _poly_divide_exact(reduced, [1] * w)
     if not reduced:
-        return HilbertData(dimension=-1, multiplicity=0, h_vector=(), numerator=())
+        return HilbertData(dimension=-1, multiplicity=0, h_vector=())
     # strip (1 - T) factors
     strips = 0
     one_minus_t = [1, -1]
@@ -194,7 +200,6 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
         dimension=dimension,
         multiplicity=sum(reduced),
         h_vector=tuple(reduced),
-        numerator=tuple(reduced),
     )
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "substitute",
     "weighted_degree",
     "mono_mul",
-    "mono_div",
     "mono_lcm",
     "mono_divides",
     "mono_degree",
@@ -262,21 +261,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
             return False
         ib += 1
     return True
-
-
-def mono_div(b: Mono, a: Mono) -> Mono:
-    """b / a, assuming divisibility."""
-    da = dict(a)
-    out = []
-    for vb, eb in b:
-        e = eb - da.get(vb, 0)
-        if e < 0:
-            raise ArithmeticError("monomial division is not exact")
-        if e:
-            out.append((vb, e))
-    if len(da) > len(b):
-        raise ArithmeticError("monomial division is not exact")
-    return tuple(out)
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:

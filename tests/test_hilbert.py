@@ -1,7 +1,11 @@
 """Hilbert series bookkeeping against a brute-force standard-monomial
-count, plus the frozen invariants of the degree-5 base ring."""
+count, the frozen numerators and invariants of the base rings, and their
+Hilbert function in degrees 2 and 3 by linear algebra alone."""
+
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from versaldef.groebner import (
     DEGREVLEX,
@@ -10,12 +14,13 @@ from versaldef.groebner import (
     monomials_of_weighted_degree,
 )
 from versaldef.hilbert import (
+    _numerator,
     hilbert_data,
     hilbert_function_values,
     krull_dimension_of_monomials,
 )
-from versaldef.poly import build_registry, parse
-from versaldef.versal import base_ideal
+from versaldef.poly import Polynomial, build_registry, parse
+from versaldef.versal import _base_gb, minimal_base_quadrics, span_rank
 
 
 def _divides(a, b):
@@ -117,20 +122,95 @@ def test_krull_oracle_matches_series_dimension():
         assert data.dimension == oracle, texts
 
 
-def test_base_ring_degree_five():
-    """The degree-5 base: a 7-dimensional ring of multiplicity 5 with
-    h-vector (1, 3, 1)."""
-    ideal = base_ideal(5, minimal=True)
-    gb = buchberger(Ideal(ideal.registry, list(ideal.generators)))
-    data = hilbert_data(gb)
-    assert data.dimension == 7
-    assert data.multiplicity == 5
-    assert data.h_vector == (1, 3, 1)
+def _increasing(size):
+    return st.lists(st.integers(min_value=1, max_value=3), min_size=size, max_size=size,
+                    unique=True).map(sorted)
 
 
-def test_base_ring_degree_six_stretch():
-    ideal = base_ideal(6, minimal=True)
-    gb = buchberger(Ideal(ideal.registry, list(ideal.generators)))
-    data = hilbert_data(gb)
-    assert data.dimension == 8
-    assert data.multiplicity == 30
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monomial_ideals_in_disjoint_variable_groups(data):
+    """Monomial ideals in z1..z4 and y (weight 2).  The variables are cut
+    into one group or two of two or three.  Each group gets two or three
+    generators u^a_i v^b_i * (anything in its other variables), with a_i
+    increasing and b_i decreasing on its first two variables u and v, so
+    that no generator of a group divides another and two groups mostly
+    give two multi-generator components whose numerators multiply.  The
+    ideal also holds a power of y: hilbert_data reports the series as
+    h(T) / (1-T)^dim, and without a power of y the series of the quotient
+    can keep the factor 1 / (1 + T) of y's denominator, as for P/(z4)."""
+    reg = build_registry(nz=4, y=True)
+    y = reg.position("y")
+    order = data.draw(st.permutations(range(reg.nvars)))
+    cut = data.draw(st.sampled_from([0, 2, 3]))  # one group, or two of two or more variables
+    gens = [Polynomial(reg, {((y, data.draw(st.integers(min_value=1, max_value=3))),): 1})]
+    for group in (order[:cut], order[cut:]):
+        if not group:
+            continue
+        size = data.draw(st.integers(min_value=2, max_value=3))
+        a = data.draw(_increasing(size))
+        b = data.draw(_increasing(size))[::-1]
+        for ai, bi in zip(a, b):
+            rest = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                      min_size=len(group) - 2, max_size=len(group) - 2))
+            mono = tuple((v, e) for v, e in sorted(zip(group, [ai, bi, *rest])) if e)
+            gens.append(Polynomial(reg, {mono: 1}))
+    _series_matches_count(reg, gens)
+
+
+# recorded with the earlier numerator recursion (dict monomials, no component
+# split), so the pivot algorithm is checked against an independent computation
+_FROZEN_NUMERATORS = {
+    5: [1, 0, -5, 5, 0, -1],
+    6: [1, 0, -14, 21, 36, -126, 126, -36, -21, 14, 0, -1],
+    7: [1, 0, -28, 56, 197, -896, 847, 2056, -7161, 9856, -7161, 2056, 847, -896, 197, 56,
+        -28, 0, 1],
+    8: [1, 0, -48, 120, 667, -3744, 2991, 25752, -95030, 115072, 130101, -766224, 1534182,
+        -1887680, 1534182, -766224, 130101, 115072, -95030, 25752, 2991, -3744, 667, 120,
+        -48, 0, 1],
+    9: [1, 0, -75, 225, 1774, -11835, 6549, 165150, -667250, 553605, 4060161, -17741970,
+        32516550, -9872175, -112505535, 366044310, -684855360, 912685425, -912685425,
+        684855360, -366044310, 112505535, 9872175, -32516550, 17741970, -4060161, -553605,
+        667250, -165150, -6549, 11835, -1774, -225, 75, 0, -1],
+}
+
+_FROZEN_HILBERT_DATA = {
+    5: (7, 5, (1, 3, 1)),
+    6: (8, 30, (1, 7, 14, 7, 1)),
+    7: (9, 210, (1, 12, 50, 84, 50, 12, 1)),
+    8: (10, 1680, (1, 18, 123, 396, 604, 396, 123, 18, 1)),
+    9: (11, 15120, (1, 25, 250, 1275, 3499, 5020, 3499, 1275, 250, 25, 1)),
+    10: (12, 151200, (1, 33, 451, 3300, 13949, 34287, 47158, 34287, 13949, 3300, 451, 33, 1)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_FROZEN_NUMERATORS))
+def test_base_ring_numerator_is_frozen(n):
+    gb = _base_gb(n)
+    num = _numerator(frozenset(gb.leading_monomials()), gb.registry.weights, {})
+    assert num == _FROZEN_NUMERATORS[n]
+
+
+@pytest.mark.parametrize("n", sorted(_FROZEN_HILBERT_DATA))
+def test_base_ring_hilbert_data_is_frozen(n):
+    """Dimension n + 2 and multiplicity n!/24; at n = 5 a 7-dimensional
+    ring of multiplicity 5 with h-vector (1, 3, 1)."""
+    data = hilbert_data(_base_gb(n))
+    assert (data.dimension, data.multiplicity, data.h_vector) == _FROZEN_HILBERT_DATA[n]
+
+
+@pytest.mark.parametrize("n, h2, h3", [(6, 106, 491), (8, 358, 2836)])
+def test_base_ring_low_degrees_by_linear_algebra(n, h2, h3):
+    """The base ideal is generated by quadrics q, so its degree-2 part is
+    their span and its degree-3 part the span of the products a_v * q
+    over the N = binom(n, 2) parameters a_v; the Hilbert function in
+    degrees 2 and 3 is then a rank count that uses neither the Groebner
+    engine nor the Hilbert numerator."""
+    quadrics = minimal_base_quadrics(n)
+    reg = quadrics[0].reg
+    N = reg.nvars
+    assert N == comb(n, 2)
+    cubics = [Polynomial.var(reg, a) * q for a in reg.names for q in quadrics]
+    assert comb(N + 1, 2) - span_rank(quadrics) == h2
+    assert comb(N + 2, 3) - span_rank(cubics) == h3
+    assert hilbert_function_values(hilbert_data(_base_gb(n)), 3)[2:] == [h2, h3]
