@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import SparseEliminator
+from .linalg import Span
 from .poly import (
     Mono,
     Polynomial,
@@ -607,6 +607,10 @@ def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
 # ---------------------------------------------------------------------------
 # syzygies
 
+# the all-pairs syzygy run is quadratic in the generators and keeps every
+# cofactor row, so larger presentations are refused up front
+SYZYGY_GENERATOR_GUARD = 64
+
 
 @dataclass(frozen=True)
 class SyzygyModule:
@@ -648,23 +652,19 @@ def monomials_of_weighted_degree(reg: VarRegistry, d: int) -> List[Mono]:
     return sorted(out)
 
 
-def syzygies(
-    ideal: Ideal,
-    order: MonomialOrder = DEGREVLEX,
-    budget: Budget = DEFAULT_BUDGET,
-    max_generators: int = 64,
-) -> SyzygyModule:
+def syzygies(ideal: Ideal, budget: Budget = DEFAULT_BUDGET) -> SyzygyModule:
     """First syzygies of the given generators, with cofactors recorded
-    during an all-pairs Buchberger run (no pair criteria, no discards).
+    during an all-pairs degrevlex Buchberger run (no pair criteria, no
+    discards).
 
-    Intended for small presentations; guarded by ``max_generators``.
-    Generators must be homogeneous for the registry weights so that the
-    graded minimalisation applies.
+    Intended for small presentations; guarded by
+    ``SYZYGY_GENERATOR_GUARD``.  Generators must be homogeneous for the
+    registry weights so that the graded minimalisation applies.
     """
     gens = ideal.generators
-    if len(gens) > max_generators:
+    if len(gens) > SYZYGY_GENERATOR_GUARD:
         raise ValueError(
-            f"syzygy computation guarded at {max_generators} generators; got {len(gens)}"
+            f"syzygy computation guarded at {SYZYGY_GENERATOR_GUARD} generators; got {len(gens)}"
         )
     gen_degrees = []
     for p in gens:
@@ -673,7 +673,7 @@ def syzygies(
             raise ValueError("syzygies need weighted-homogeneous generators")
         gen_degrees.append(d)
 
-    eng = _Engine(ideal, order, budget, record=True)
+    eng = _Engine(ideal, DEGREVLEX, budget, record=True)
     eng.run()
 
     reg = ideal.registry
@@ -711,7 +711,7 @@ def syzygies(
         vectors.append(vec)
         degrees.append(d)
 
-    by_degree = _minimal_generator_count(reg, gens, gen_degrees, vectors, degrees)
+    by_degree = _minimal_generator_count(reg, vectors, degrees)
     return SyzygyModule(
         ideal=ideal,
         vectors=tuple(vectors),
@@ -721,51 +721,25 @@ def syzygies(
     )
 
 
-def _vector_row(vec, gen_count: int, col_index: dict) -> dict:
-    row = {}
-    for i in range(gen_count):
-        for m, c in vec[i].terms.items():
-            key = (i, m)
-            col = col_index.setdefault(key, len(col_index))
-            row[col] = c
-    return row
-
-
-def _minimal_generator_count(
-    reg: VarRegistry,
-    gens,
-    gen_degrees,
-    vectors,
-    degrees,
-) -> dict:
+def _minimal_generator_count(reg: VarRegistry, vectors, degrees) -> dict:
     """Graded Nakayama count: in each degree, new generators modulo the
-    span of monomial multiples of lower-degree ones."""
+    span of monomial multiples of lower-degree ones.  A vector's
+    coordinates are keyed by (generator index, monomial)."""
     by_degree: dict = {}
-    if not vectors:
-        return by_degree
-    gen_count = len(gens)
     order_of = sorted(range(len(vectors)), key=lambda k: (degrees[k], k))
-    distinct_degrees = sorted(set(degrees))
-    for d in distinct_degrees:
-        col_index: dict = {}
-        elim = SparseEliminator()
-        lower_rank = 0
-        for k in order_of:
-            if degrees[k] >= d:
-                continue
-            e = degrees[k]
-            for mono in monomials_of_weighted_degree(reg, d - e):
-                shifted = tuple(
-                    Polynomial._raw(reg, {mono_mul(m, mono): c for m, c in v.terms.items()})
-                    for v in vectors[k]
-                )
-                elim.add(_vector_row(shifted, gen_count, col_index))
-        lower_rank = elim.rank
-        for k in order_of:
-            if degrees[k] != d:
-                continue
-            elim.add(_vector_row(vectors[k], gen_count, col_index))
-        new = elim.rank - lower_rank
+    for d in sorted(set(degrees)):
+        span = Span()
+        lower_rank = span.add(
+            {(i, mono_mul(m, mono)): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
+            for k in order_of
+            if degrees[k] < d
+            for mono in monomials_of_weighted_degree(reg, d - degrees[k])
+        )
+        new = span.add(
+            {(i, m): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
+            for k in order_of
+            if degrees[k] == d
+        ) - lower_rank
         if new:
             by_degree[d] = new
     return by_degree

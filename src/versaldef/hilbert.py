@@ -170,7 +170,9 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
 
     Requires every basis element to be homogeneous for the registry
     weights, so that standard monomials of the leading-term ideal count
-    the graded pieces of the quotient.
+    the graded pieces of the quotient, and raises ``ValueError`` when
+    the series is not of the form h(T)/(1-T)^dim, as for P/(z4) in
+    z1..z4 and y of weight 2, whose series is 1/((1-T)^3 (1-T^2)).
     """
     reg = gb.registry
     for p in gb.basis:
@@ -184,9 +186,16 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
 
     # divide off the non-(1-T) parts of the denominator
     reduced = num
-    for w in weights:
-        if w > 1:
-            reduced = _poly_divide_exact(reduced, [1] * w)
+    try:
+        for w in weights:
+            if w > 1:
+                reduced = _poly_divide_exact(reduced, [1] * w)
+    except ArithmeticError:
+        raise ValueError(
+            "the Hilbert series of the quotient is not of the form "
+            "h(T)/(1-T)^dim: a variable of weight w > 1 leaves a factor of "
+            "1/(1 + T + ... + T^(w-1)) in it"
+        ) from None
     if not reduced:
         return HilbertData(dimension=-1, multiplicity=0, h_vector=())
     # strip (1 - T) factors

@@ -1,22 +1,26 @@
 """Small exact linear algebra over Q on integer rows.
 
-``SparseEliminator`` takes sparse rows (dicts column -> int or Fraction),
-clears each row's denominators on entry and then works on integers only,
-by fraction-free cross-multiplication in the sense of Bareiss (Math.
-Comp. 22, 1968); the ranks it reports are exact ranks over Q.
-``solve_dense`` works on Fractions, since the solution it returns is
-rational.  Everything here is deterministic: pivots are always chosen as
-the smallest column index of the row being processed, and rows are
-processed in input order.
+``SparseEliminator`` is the one elimination here.  It takes sparse rows
+(dicts column -> int or Fraction), clears each row's denominators on
+entry and then works on integers only, by fraction-free
+cross-multiplication in the sense of Bareiss (Math. Comp. 22, 1968);
+the ranks it reports are exact ranks over Q.  ``Span`` puts columns
+keyed by any hashable key (a monomial, a (slot, monomial) pair) in
+front of it, and ``solve`` reads one solution of a linear system off
+the pivots of a single elimination by back-substitution.  Everything
+here is deterministic: pivots are always chosen as the smallest column
+index of the row being processed, and rows are processed in input
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-Row = Dict[int, Union[int, Fraction]]
+Scalar = Union[int, Fraction]
+Row = Dict[int, Scalar]
 IntRow = Dict[int, int]
 
 
@@ -32,8 +36,9 @@ class SparseEliminator:
     off the rank.
 
     Each pivot is a primitive integer row (content 1) with a positive
-    entry in its leading column.  Only forward elimination is done,
-    which is all the rank needs.
+    entry in its leading column.  Only forward elimination is done:
+    the rank needs no more, and ``solve`` back-substitutes over the
+    pivots.
     """
 
     def __init__(self) -> None:
@@ -88,11 +93,25 @@ class SparseEliminator:
         return len(self.pivots)
 
 
-def rank(rows: Iterable[Row]) -> int:
-    elim = SparseEliminator()
-    for r in rows:
-        elim.add(r)
-    return elim.rank
+class Span:
+    """The span of sparse vectors whose coordinates are keyed by any
+    hashable key, grown by ``add``; each key gets a column of one
+    ``SparseEliminator`` on first sight, and each row is eliminated
+    once."""
+
+    __slots__ = ("elim", "cols")
+
+    def __init__(self) -> None:
+        self.elim = SparseEliminator()
+        self.cols: Dict[Hashable, int] = {}
+
+    def add(self, rows: Iterable[Mapping[Hashable, Scalar]]) -> int:
+        """Add the rows (mappings key -> coefficient); return the rank of
+        everything added so far."""
+        cols = self.cols
+        for row in rows:
+            self.elim.add({cols.setdefault(k, len(cols)): c for k, c in row.items()})
+        return self.elim.rank
 
 
 def in_span(row: Row, elim: SparseEliminator) -> bool:
@@ -115,48 +134,28 @@ def in_kernel(vec: Row, elim: SparseEliminator) -> bool:
     )
 
 
-def solve_dense(
-    matrix: List[List[Fraction]], rhs: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b with free variables set to zero.
+def solve(
+    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
+) -> Tuple[int, Optional[List[Fraction]]]:
+    """The rank of A and one exact solution of A x = b, with the free
+    unknowns set to zero; the solution is None when the system is
+    inconsistent.
 
-    Returns None when the system is inconsistent.  Uses partial pivoting
-    by first nonzero entry; fully deterministic.
+    The rows of [A | b] go into one eliminator, b in the column past
+    every unknown, so the system is inconsistent exactly when that
+    column becomes a pivot.  Otherwise each pivot row reads
+    sum_k piv[k] x_k = piv[b], and back-substitution over the pivots in
+    descending lead order gives x.
     """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if a[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = Fraction(1, 1) / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                c = a[i][col]
-                a[i] = [vi - c * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            return None
+    n = len(rows[0]) if rows else 0
+    elim = SparseEliminator()
+    for row, b in zip(rows, rhs):
+        elim.add(dict(enumerate([*row, b])))
+    if n in elim.pivots:
+        return elim.rank - 1, None
     x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = a[row][n]
-    return x
-
-
-def dense_rank(matrix: List[List[Fraction]]) -> int:
-    return rank(dict(enumerate(row)) for row in matrix)
+    for lead in sorted(elim.pivots, reverse=True):
+        piv = elim.pivots[lead]
+        tail = sum(c * x[k] for k, c in piv.items() if lead < k < n)
+        x[lead] = Fraction(piv.get(n, 0) - tail, piv[lead])
+    return elim.rank, x

@@ -229,7 +229,7 @@ def _suite_smoothings(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]
             (versal.AXIS_PARABOLA, "smoothing-axis-parabola"),
         ):
             def smooth(n=n, variant=variant):
-                _, rep = versal.smoothing_family(variant, n, budget)
+                _, rep = versal.smoothing_family(variant, n)
                 bad = [c.name for c in rep.checks if not c.ok]
                 details = f"{rep.branch_count} branches, {len(rep.checks)} checks"
                 if bad:

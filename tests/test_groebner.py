@@ -150,6 +150,19 @@ def test_syzygies_koszul_pair():
         assert (vec[0] * f + vec[1] * g).is_zero()
 
 
+def test_syzygies_refuse_too_many_generators_before_any_buchberger_work(monkeypatch):
+    reg = build_registry(nz=11)
+    gens = [Polynomial(reg, {m: 1}) for m in groebner.monomials_of_weighted_degree(reg, 2)]
+    assert len(gens) > groebner.SYZYGY_GENERATOR_GUARD
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("Buchberger engine started")
+
+    monkeypatch.setattr(groebner, "_Engine", no_engine)
+    with pytest.raises(ValueError, match="guarded at 64 generators; got 66"):
+        syzygies(Ideal(reg, gens))
+
+
 def test_syzygy_vectors_annihilate(lines_gb):
     gens = [_p("z1*z2 - y"), _p("z1*z3 - y"), _p("z2*z3 - y")]
     mod = syzygies(Ideal(REG, gens))

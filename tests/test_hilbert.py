@@ -98,6 +98,15 @@ def test_unit_ideal_sentinel():
     assert data.multiplicity == 0
 
 
+def test_series_with_a_weight_two_factor_is_rejected():
+    # P/(z4) in z1..z4, y of weight 2 has series 1/((1-T)^3 (1-T^2)),
+    # which keeps the factor 1/(1+T) and has no form h(T)/(1-T)^dim
+    reg = build_registry(nz=4, y=True)
+    gb = buchberger(Ideal(reg, [parse("z4", reg)]))
+    with pytest.raises(ValueError, match=r"not of the form h\(T\)/\(1-T\)\^dim"):
+        hilbert_data(gb)
+
+
 def test_inhomogeneous_input_rejected():
     reg = build_registry(nz=2)
     gb = buchberger(Ideal(reg, [parse("z1^2 - z2", reg)]))

@@ -1,4 +1,5 @@
-"""Sparse elimination against a dense rational oracle."""
+"""Sparse elimination, spans and solutions against a dense rational
+oracle."""
 
 import math
 from fractions import Fraction
@@ -6,9 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from versaldef.linalg import (
-    SparseEliminator, dense_rank, in_kernel, in_span, rank, solve_dense,
-)
+from versaldef.linalg import SparseEliminator, Span, in_kernel, in_span, solve
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -43,7 +42,7 @@ row_strategy = st.dictionaries(
 def test_rank_matches_dense_oracle(rows):
     cleaned = [{c: v for c, v in r.items() if v} for r in rows]
     expected = _dense_rank_oracle(cleaned, 6)
-    assert rank([dict(r) for r in cleaned]) == expected
+    assert Span().add([dict(r) for r in cleaned]) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,27 +57,34 @@ def test_in_span_detects_members(rows):
         assert in_span(combo, elim)
 
 
-def test_solve_dense_solves():
+def test_solve_solves():
     matrix = [
         [Fraction(1), Fraction(2), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
     rhs = [Fraction(5), Fraction(3)]
-    sol = solve_dense(matrix, rhs)
+    rk, sol = solve(matrix, rhs)
+    assert rk == 2
     assert sol is not None
     for row, b in zip(matrix, rhs):
         assert sum(a * x for a, x in zip(row, sol)) == b
 
 
-def test_solve_dense_inconsistent_returns_none():
+def test_solve_inconsistent_returns_none():
     matrix = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     rhs = [Fraction(1), Fraction(3)]
-    assert solve_dense(matrix, rhs) is None
+    assert solve(matrix, rhs) == (1, None)
 
 
-def test_dense_rank_small():
-    assert dense_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert dense_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
+def test_solve_reports_the_rank_of_the_matrix():
+    assert solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [0, 0])[0] == 1
+    assert solve([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], [0, 0])[0] == 2
+
+
+def test_solve_sets_free_unknowns_to_zero():
+    # x0 + x1 + x2 = 3 and x1 - x2 = 1: the pivots lead at x0 and x1
+    assert solve([[1, 1, 1], [0, 1, -1]], [3, 1]) == (2, [Fraction(2), Fraction(1), Fraction(0)])
+    assert solve([], []) == (0, [])
 
 
 @pytest.mark.parametrize(
@@ -90,7 +96,7 @@ def test_dense_rank_small():
     ],
 )
 def test_rank_ignores_explicit_zero_entries(rows, expected):
-    assert rank(rows) == expected
+    assert Span().add(rows) == expected
 
 
 def test_zero_vector_is_in_span():
@@ -125,7 +131,7 @@ big_row_strategy = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(big_row_strategy, max_size=12))
 def test_rank_matches_dense_oracle_on_large_entries(rows):
-    assert rank(rows) == _dense_rank_oracle(rows, 10)
+    assert Span().add(rows) == _dense_rank_oracle(rows, 10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,3 +180,34 @@ def test_in_kernel_matches_dense_oracle(rows, vec, project):
     assert in_kernel(vec, elim) == expected
     if project and norm:
         assert expected
+
+
+def _dense(rows, ncols):
+    return [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(row_strategy, min_size=1, max_size=7),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=6, max_size=6),
+)
+def test_solve_consistent_system_matches_dense_oracle(rows, x0):
+    matrix = _dense(rows, 6)
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+    rk, x = solve(matrix, rhs)
+    assert rk == _dense_rank_oracle(rows, 6)
+    assert x is not None
+    assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(row_strategy, min_size=1, max_size=7),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=7, max_size=7),
+)
+def test_solve_inconsistent_system_returns_none(rows, b):
+    b = b[:len(rows)]
+    augmented = [{**r, 6: v} for r, v in zip(rows, b)]
+    rk = _dense_rank_oracle(rows, 6)
+    assume(_dense_rank_oracle(augmented, 7) > rk)
+    assert solve(_dense(rows, 6), b) == (rk, None)

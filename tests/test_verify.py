@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from versaldef import groebner, versal
+from versaldef import curves, groebner, versal
 from versaldef.groebner import Budget
 from versaldef.report import FAIL, PASS, SKIPPED_BUDGET
 from versaldef.verify import ANCHORS, DEFAULT_RANGES, SUITES, _run, run_suite
@@ -187,4 +187,17 @@ def test_base_basis_is_computed_once(monkeypatch):
 def test_axes_report_needs_no_groebner_basis(monkeypatch):
     calls = _record_buchberger(monkeypatch)
     assert versal.axes_family_report(5).ok
+    assert calls == []
+
+
+def test_smoothings_need_no_groebner_basis(monkeypatch):
+    calls = _record_buchberger(monkeypatch)
+    assert run_suite("smoothings", (4, 5)).ok
+    assert calls == []
+
+
+def test_nonrational_lines_need_no_groebner_basis(monkeypatch):
+    calls = _record_buchberger(monkeypatch)
+    rep = curves.nonrational_lines_check(6)
+    assert rep.displayed_ok and not rep.uniform_wrap_ok
     assert calls == []
