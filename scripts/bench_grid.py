@@ -11,14 +11,23 @@ merged into the ``grid`` section of BENCH_<label>.json at the repository
 root (created if missing): a cell replaces the one with the same suite,
 n and side, and every other section of the file is kept.
 
+With ``--repeats K`` each cell is run K times (stopping at the first run
+that does not finish); a cell of several runs keeps each run's wall_s
+and wall_ref under "repeats", and its wall_s, wall_ref and peak_rss_mb
+are their medians.  ``--src``/``--side`` may be given several times to
+time several source trees: at each n their runs alternate, the order of
+the sides flipping from one round of runs to the next, and a side that
+fails to finish an n is not run at larger n.
+
     python scripts/bench_grid.py --suite flatness --from 11 --to 13 --label packed_monomials
     python scripts/bench_grid.py --suite flatness --from 11 --to 13 --label packed_monomials \\
-        --src ../parent/src --side parent
+        --src ../parent/src --side parent --src src --side change --repeats 3
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +78,20 @@ def run_cell(src: Path, suite: str, n: int) -> dict:
     return cell
 
 
+def combine(runs: list) -> dict:
+    """The cell of one side at one n from its runs: the last run, and if
+    there were several, each run's wall_s and wall_ref under "repeats"
+    and, when every run finished, the medians."""
+    cell = dict(runs[-1])
+    if len(runs) > 1:
+        cell["repeats"] = [{"wall_s": r["wall_s"], "wall_ref": r["wall_ref"]} for r in runs]
+        if cell["wall_s"] is not None:
+            for key in ("wall_s", "wall_ref", "peak_rss_mb"):
+                cell[key] = statistics.median(r[key] for r in runs)
+            cell["ok"] = all(r["ok"] for r in runs)
+    return cell
+
+
 def merge(path: Path, cells: list) -> None:
     data = json.loads(path.read_text()) if path.exists() else {}
     grid = data.setdefault("grid", {
@@ -89,24 +112,44 @@ def main(argv=None) -> int:
     ap.add_argument("--from", dest="lo", type=int, required=True)
     ap.add_argument("--to", dest="hi", type=int, required=True)
     ap.add_argument("--label", required=True)
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the versaldef source tree to run (default: this checkout's)")
-    ap.add_argument("--side", default="change",
-                    help="name of the source tree in the cells, e.g. parent or change")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="a versaldef source tree to run, repeatable (default: this checkout's)")
+    ap.add_argument("--side", action="append",
+                    help="name of the matching --src tree in the cells, e.g. parent or change "
+                         "(default: change)")
+    ap.add_argument("--repeats", type=int, default=1, help="runs per cell (default: 1)")
     args = ap.parse_args(argv)
     if args.lo < 4 or args.hi < args.lo:
         ap.error(f"need 4 <= --from <= --to, got {args.lo}, {args.hi}")
-    if not (args.src / "versaldef" / "verify.py").is_file():
-        ap.error(f"no versaldef sources under {args.src}")
+    if args.repeats < 1:
+        ap.error(f"need --repeats >= 1, got {args.repeats}")
+    srcs = args.src or [ROOT / "src"]
+    sides = args.side or ["change"]
+    if len(srcs) != len(sides) or len(set(sides)) != len(sides):
+        ap.error("give one distinct --side per --src")
+    for src in srcs:
+        if not (src / "versaldef" / "verify.py").is_file():
+            ap.error(f"no versaldef sources under {src}")
     # the reference loop and the cells (which inherit the mask) share one CPU
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    alive = {side: src.resolve() for side, src in zip(sides, srcs)}
     cells = []
+    flip = False
     for n in range(args.lo, args.hi + 1):
-        cell = dict(run_cell(args.src.resolve(), args.suite, n), side=args.side)
-        cells.append(cell)
-        shown = "-" if cell["wall_s"] is None else f"{cell['wall_s']:.2f} s"
-        print(f"{args.suite} n={n} {args.side}: {shown}, ok={cell['ok']}", flush=True)
-        if cell["wall_s"] is None:
+        runs = {side: [] for side in alive}
+        for _ in range(args.repeats):
+            for side in reversed(runs) if flip else runs:
+                if not runs[side] or runs[side][-1]["wall_s"] is not None:
+                    runs[side].append(run_cell(alive[side], args.suite, n))
+            flip = not flip
+        for side, side_runs in runs.items():
+            cell = dict(combine(side_runs), side=side)
+            cells.append(cell)
+            shown = "-" if cell["wall_s"] is None else f"{cell['wall_s']:.2f} s"
+            print(f"{args.suite} n={n} {side}: {shown}, ok={cell['ok']}", flush=True)
+            if cell["wall_s"] is None:
+                del alive[side]
+        if not alive:
             break
     merge(OUT_DIR / f"BENCH_{args.label}.json", cells)
     # a cell past the cap ends the walk; any other cell must pass

@@ -2,10 +2,15 @@
 
 Deterministic by construction: the pair queue is a heap keyed by
 (lcm total degree, generator indices), the normal selection strategy;
-reducers are scanned in basis order, and the returned basis is the unique
-fully reduced one, sorted ascending in the term order.  The product and
-chain criteria prune pairs in plain runs; syzygy-recording runs process
-every pair so that the zero reductions generate the full syzygy module.
+the reducer of a term is the first one in index order whose leading
+monomial divides it, found once per monomial and remembered (a memo
+shared by every reduction against one reducer list, which only grows by
+appending), and the returned basis is the unique fully reduced one,
+sorted ascending in the term order.  Plain runs interreduce the input
+by one reduced row echelon form of its terms, and sweep it further only
+where a reduction across degrees is possible.  The product and chain
+criteria prune pairs in plain runs; syzygy-recording runs process every
+pair so that the zero reductions generate the full syzygy module.
 
 Inside the engine a monomial is one int, its packed exponent vector for
 the (order, registry) pair (Bachmann and Schoenemann, "Monomial
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Span
+from .linalg import Span, SparseEliminator
 from .poly import (
     Mono,
     Polynomial,
@@ -118,6 +123,8 @@ class _Packing:
     one to a complemented one, so with no borrow between fields a guard
     bit of the sum is set iff a plain field did not shrink or a
     complemented one grew.  A product out of range sets some guard bit.
+    The plain fields hold the total degree between them: the dropped
+    exponents and the kept degree.
     """
 
     def __init__(self, order: MonomialOrder, reg: VarRegistry) -> None:
@@ -133,6 +140,7 @@ class _Packing:
         self.unit = [0] * nv
         self.one = self.guard = self.plain = self.bias = deg = 0
         self.fields = []
+        self.degree_shifts = []
         for i, (v, complemented) in enumerate(layout):
             shift = FIELD_BITS * (len(layout) - 1 - i)
             bit = 1 << shift
@@ -143,6 +151,7 @@ class _Packing:
                 self.bias -= bit
             else:
                 self.plain += half * bit
+                self.degree_shifts.append(shift)
                 if v is None:
                     deg = bit
                 else:
@@ -170,6 +179,10 @@ class _Packing:
             if e:
                 out.append((v, e))
         return tuple(out)
+
+    def degree(self, p: int) -> int:
+        mask = (1 << FIELD_BITS) - 1
+        return sum((p >> shift) & mask for shift in self.degree_shifts)
 
     def pack(self, terms: dict) -> dict:
         return {self.encode(m): c for m, c in terms.items()}
@@ -249,8 +262,8 @@ class Ideal:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """The reduced Groebner basis of an ideal for a fixed order.  Its
-    packed reducers and leading monomials are built once, on first use,
-    and shared by every reduction against it."""
+    packed reducers, their memo and its leading monomials are built once,
+    on first use, and shared by every reduction against it."""
 
     registry: VarRegistry
     order: MonomialOrder
@@ -258,17 +271,17 @@ class GroebnerBasis:
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def _packed(self) -> Tuple[_Packing, list]:
+    def _packed(self) -> Tuple[_Packing, list, dict]:
         pk = _Packing(self.order, self.registry)
         reducers = []
         for p in self.basis:
             terms = pk.pack(p.terms)
             reducers.append(_reducer(terms, max(terms)))
-        return pk, reducers
+        return pk, reducers, {}
 
     @cached_property
     def _lts(self) -> tuple:
-        pk, reducers = self._packed
+        pk, reducers, _ = self._packed
         return tuple(pk.decode(lt) for lt, _ in reducers)
 
     def leading_monomials(self) -> tuple:
@@ -290,6 +303,7 @@ def _reduce_terms(
     reducers: Sequence[Tuple[int, tuple]],
     pk: _Packing,
     budget: Budget,
+    memo: Dict[int, int],
     record: bool = False,
 ) -> Tuple[dict, Optional[Dict[int, dict]]]:
     """Complete reduction of a packed term dict against monic reducers
@@ -300,6 +314,11 @@ def _reduce_terms(
     coefficient (only when record=True).  The normal form's coefficients
     are exact: ints where integral.  The reducer of a term is the first
     one in index order whose leading monomial divides it.
+
+    memo maps a packed monomial to the index of its reducer, or, when
+    none of the first c reducers divides it, to ~c; a lookup resumes the
+    scan there.  Calls may share a memo only while the reducer list
+    grows by appending.
     """
     rem: dict = {}
     work = dict(terms)
@@ -308,23 +327,28 @@ def _reduce_terms(
     quot: Optional[Dict[int, dict]] = {} if record else None
     bias, guard, plain = pk.bias, pk.guard, pk.plain
     offsets = [bias - lt for lt, _ in reducers]
+    scanned = ~len(offsets)
     while heap:
         m = -heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        for k, off in enumerate(offsets):
-            x = m + off
-            if x & guard == plain:
-                break
-        else:
-            rem[m] = _exact(c)
-            continue
-        d = x - bias  # P(m / lt) - P(1)
+        k = memo.get(m, -1)
+        if k < 0:
+            for k in range(~k, len(offsets)):
+                if (m + offsets[k]) & guard == plain:
+                    memo[m] = k
+                    break
+            else:
+                memo[m] = scanned
+                rem[m] = _exact(c)
+                continue
+        lt, tail = reducers[k]
+        d = m - lt  # P(m / lt) - P(1)
         if record:
             qd = quot.setdefault(k, {})
             qd[d] = qd.get(d, 0) + c
-        for mb, cb in reducers[k][1]:
+        for mb, cb in tail:
             mm = mb + d
             acc = work.get(mm)
             if acc is None:
@@ -415,13 +439,28 @@ class _Engine:
             self._push(terms, row)
 
     def _interreduce(self, seeds):
-        """Mutual reduction of the input set (plain runs only): Gauss-Seidel
-        sweeps until nothing changes.  Each item's reducer (leading
-        monomial and monic tail) is kept and rebuilt only when the item
-        changes."""
-        items = [t for t, _ in seeds]
-        heads = [self._head(x) for x in items]
-        changed = True
+        """Mutual reduction of the input set (plain runs only).
+
+        Reducing a term by an equal leading monomial is a row operation,
+        so the reduced row echelon form of the seeds, its columns the
+        terms in descending packed order, does every such reduction at
+        once; its rows keep the order in which their pivots were found.
+        Any other reduction divides a term by a leading monomial of
+        smaller degree.  Only if some term has a degree above the least
+        leading degree do Gauss-Seidel sweeps follow, until nothing
+        changes; each item's reducer (leading monomial and monic tail) is
+        kept and rebuilt only when the item changes.
+        """
+        cols = sorted({m for t, _ in seeds for m in t}, reverse=True)
+        index = {m: k for k, m in enumerate(cols)}
+        elim = SparseEliminator()
+        for t, _ in seeds:
+            elim.add({index[m]: c for m, c in t.items()})
+        items = [{cols[k]: c for k, c in row.items()} for row in elim.reduced_echelon().values()]
+        degree = self.pk.degree
+        low = min((degree(max(x)) for x in items), default=0)
+        changed = any(degree(m) > low for x in items for m in x)
+        heads = [self._head(x) for x in items] if changed else []
         while changed:
             changed = False
             for i in range(len(items)):
@@ -430,7 +469,7 @@ class _Engine:
                 others = [h for k, h in enumerate(heads) if k != i and h]
                 if not others:
                     continue
-                rem, _ = _reduce_terms(items[i], others, self.pk, self.budget)
+                rem, _ = _reduce_terms(items[i], others, self.pk, self.budget, {})
                 if rem != items[i]:
                     items[i] = rem
                     heads[i] = self._head(rem) if rem else None
@@ -457,6 +496,7 @@ class _Engine:
             lcm = mono_lcm(self.lts[i], self.lts[j])
             heapq.heappush(pq, (mono_degree(lcm), i, j))
         done = set()
+        memo: Dict[int, int] = {}
         pops = 0
         while pq:
             _, i, j = heapq.heappop(pq)
@@ -472,7 +512,7 @@ class _Engine:
                 continue
             ri, rj = self.reducers[i], self.reducers[j]
             s = _spoly(pk, ri, rj, lcm)
-            rem, quot = _reduce_terms(s, self.reducers, pk, self.budget, self.record)
+            rem, quot = _reduce_terms(s, self.reducers, pk, self.budget, memo, self.record)
             row: Dict[int, dict] = {}
             if self.record:
                 row = _row_scale_shift(pk, self.rows[i], lcm - ri[0], 1)
@@ -514,7 +554,7 @@ class _Engine:
         out = []
         for pos, (lt, tail) in enumerate(kept):
             others = kept[:pos] + kept[pos + 1:]
-            rem, _ = _reduce_terms(dict(((lt, 1),) + tail), others, self.pk, self.budget)
+            rem, _ = _reduce_terms(dict(((lt, 1),) + tail), others, self.pk, self.budget, {})
             kept[pos] = _reducer(rem, lt)
             out.append(rem)
         return out
@@ -541,8 +581,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGE
     """Complete normal form of p against the basis; 0 iff p is a member."""
     if p.reg != gb.registry:
         raise ValueError("polynomial and basis live over different registries")
-    pk, reducers = gb._packed
-    rem, _ = _reduce_terms(pk.pack(p.terms), reducers, pk, budget)
+    pk, reducers, memo = gb._packed
+    rem, _ = _reduce_terms(pk.pack(p.terms), reducers, pk, budget, memo)
     return Polynomial._raw(gb.registry, pk.unpack(rem))
 
 
@@ -594,11 +634,11 @@ def eliminate(
 def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Internal consistency pass: every S-polynomial of the final basis
     reduces to zero against it."""
-    pk, reducers = gb._packed
+    pk, reducers, memo = gb._packed
     lts = gb._lts
     for i, j in itertools.combinations(range(len(lts)), 2):
         lcm = pk.encode(mono_lcm(lts[i], lts[j]))
-        rem, _ = _reduce_terms(_spoly(pk, reducers[i], reducers[j], lcm), reducers, pk, budget)
+        rem, _ = _reduce_terms(_spoly(pk, reducers[i], reducers[j], lcm), reducers, pk, budget, memo)
         if rem:
             return False
     return True

@@ -6,8 +6,10 @@ entry and then works on integers only, by fraction-free
 cross-multiplication in the sense of Bareiss (Math. Comp. 22, 1968);
 the ranks it reports are exact ranks over Q.  ``Span`` puts columns
 keyed by any hashable key (a monomial, a (slot, monomial) pair) in
-front of it, and ``solve`` reads one solution of a linear system off
-the pivots of a single elimination by back-substitution.  Everything
+front of it.  ``SparseEliminator.reduced_echelon`` back-substitutes
+over the pivots; ``solve`` reads one solution of a linear system off
+that reduced echelon form, and the Groebner engine interreduces its
+seeds with it.  Everything
 here is deterministic: pivots are always chosen as the smallest column
 index of the row being processed, and rows are processed in input
 order.
@@ -36,9 +38,9 @@ class SparseEliminator:
     off the rank.
 
     Each pivot is a primitive integer row (content 1) with a positive
-    entry in its leading column.  Only forward elimination is done:
-    the rank needs no more, and ``solve`` back-substitutes over the
-    pivots.
+    entry in its leading column.  ``add`` does only forward
+    elimination, which the rank needs; ``reduced_echelon``
+    back-substitutes over the pivots when the reduced form is wanted.
     """
 
     def __init__(self) -> None:
@@ -92,6 +94,39 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def reduced_echelon(self) -> Dict[int, IntRow]:
+        """The reduced row echelon form of the rows added: for each
+        pivot lead, in the order the pivots were found, a primitive
+        integer row with a positive entry at the lead and zeros at every
+        other pivot column.
+
+        A pivot row has no entry left of its lead, so back-substitution
+        over the pivots in descending lead order clears each of its other
+        pivot columns with a row that is already reduced and, being zero
+        at every other pivot column, brings no new one in.
+        """
+        done: Dict[int, IntRow] = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for k in [k for k in row if k != lead and k in done]:
+                piv = done[k]
+                a, b = piv[k], row[k]
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
+                for j, v in piv.items():
+                    acc = row.get(j, 0) - b * v
+                    if acc:
+                        row[j] = acc
+                    else:
+                        del row[j]
+            g = gcd(*row.values())
+            done[lead] = {j: v // g for j, v in row.items()} if g != 1 else row
+        return {lead: done[lead] for lead in self.pivots}
+
 
 class Span:
     """The span of sparse vectors whose coordinates are keyed by any
@@ -143,9 +178,8 @@ def solve(
 
     The rows of [A | b] go into one eliminator, b in the column past
     every unknown, so the system is inconsistent exactly when that
-    column becomes a pivot.  Otherwise each pivot row reads
-    sum_k piv[k] x_k = piv[b], and back-substitution over the pivots in
-    descending lead order gives x.
+    column becomes a pivot.  Otherwise each row of the reduced echelon
+    form reads r[lead] x_lead + (free unknowns) = r[b], which gives x.
     """
     n = len(rows[0]) if rows else 0
     elim = SparseEliminator()
@@ -154,8 +188,6 @@ def solve(
     if n in elim.pivots:
         return elim.rank - 1, None
     x = [Fraction(0)] * n
-    for lead in sorted(elim.pivots, reverse=True):
-        piv = elim.pivots[lead]
-        tail = sum(c * x[k] for k, c in piv.items() if lead < k < n)
-        x[lead] = Fraction(piv.get(n, 0) - tail, piv[lead])
+    for lead, row in elim.reduced_echelon().items():
+        x[lead] = Fraction(row.get(n, 0), row[lead])
     return elim.rank, x

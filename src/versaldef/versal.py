@@ -114,10 +114,12 @@ def base_registry(n: int) -> VarRegistry:
     return build_registry(npairs=n)
 
 
+@lru_cache(maxsize=None)
 def _zv(reg: VarRegistry, i: int) -> Polynomial:
     return Polynomial.var(reg, f"z{i}")
 
 
+@lru_cache(maxsize=None)
 def _av(reg: VarRegistry, i: int, j: int) -> Polynomial:
     return Polynomial.var(reg, f"a_{i}_{j}")
 

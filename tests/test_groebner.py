@@ -393,3 +393,100 @@ def test_interreduction_rescales_only_changed_items(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce_terms", counting_reduce)
     out = eng._interreduce(seeds)
     assert out and counts["monic"] <= len(seeds) + counts["changed"]
+
+
+def test_reducer_memo_resumes_a_miss_at_the_appended_reducers():
+    # a miss against [r1] is remembered as "1 reducer scanned"; once r2 is
+    # appended, the same memo must send z1^2*z2 to r2, not to the normal form
+    pk = _Packing(DEGREVLEX, REG)
+
+    def reducer(text):
+        terms = pk.pack(_p(text).terms)
+        return groebner._reducer(terms, max(terms))
+
+    r1, r2 = reducer("z3^2 - y"), reducer("z1*z2 - y")
+    term = pk.pack(_p("z1^2*z2").terms)
+    memo = {}
+    rem, _ = groebner._reduce_terms(term, [r1], pk, DEFAULT_BUDGET, memo)
+    assert rem == term and memo == {m: ~1 for m in term}
+    rem, quot = groebner._reduce_terms(term, [r1, r2], pk, DEFAULT_BUDGET, memo, record=True)
+    assert pk.unpack(rem) == _p("y*z1").terms
+    assert set(quot) == {1}
+
+
+def _interreduce_calls(monkeypatch, generators):
+    """The seeds _interreduce returns for the generators, and how many
+    reductions its sweep made."""
+    reg = generators[0].reg
+    eng = _Engine(Ideal(reg, []), DEGREVLEX, DEFAULT_BUDGET, record=False)
+    calls = Counter()
+    reduce_terms = groebner._reduce_terms
+
+    def counting_reduce(*args):
+        calls["reduce"] += 1
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counting_reduce)
+    out = eng._interreduce([(eng.pk.pack(p.terms), {}) for p in generators])
+    return [Polynomial._raw(reg, eng.pk.unpack(t)) for t, _ in out], calls["reduce"]
+
+
+def test_one_degree_seeds_are_interreduced_by_the_echelon_form_alone(monkeypatch):
+    from versaldef.versal import base_ideal
+
+    seeds, reductions = _interreduce_calls(monkeypatch, list(base_ideal(7, minimal=True).generators))
+    assert reductions == 0
+    leads = [max(p.terms, key=groebner._Packing(DEGREVLEX, p.reg).encode) for p in seeds]
+    assert len(set(leads)) == len(seeds)
+    for p, lead in zip(seeds, leads):
+        assert all(m not in p.terms for m in leads if m != lead)
+
+
+def test_seeds_of_mixed_degree_are_swept_after_the_echelon_form(monkeypatch):
+    # z1^2*z3 is divisible by the lead z1^2 of the first quadric
+    gens = [_p("z1^2 - z2*z3"), _p("z1*z2 - z3^2"), _p("z1^2*z3 + z2^3 - z1*z2*z3")]
+    seeds, reductions = _interreduce_calls(monkeypatch, gens)
+    assert reductions > 0
+    assert seeds[:2] == [_p("z1^2 - z2*z3"), _p("z1*z2 - z3^2")]
+    assert normal_form(seeds[2], buchberger(Ideal(REG, gens))).is_zero()
+
+
+# sha256 of "\n".join(str(p) for p in basis), recorded before the echelon
+# interreduction and the reducer memo were introduced
+BASE_GB_DIGESTS = {
+    5: "5189f47f59a7cd0e1aa76aba3b6f604aa4c70c7f81a9d1c620cf1cf969344028",
+    6: "70231c543488ad9f3c181ce15868c7969a8e65644008529269b9ff94493900e1",
+    7: "077a8ef15b90759d4992359b1a17c0fd77ef317ea2c355d1041cfe6a836364d6",
+    8: "eb35c8bb41268a82d4854c464ccca3b53ce3d4abf4a60e1aef022bc5d190e729",
+    9: "9636299e3567a753508c31f9631e511d1f036519a904de47254990e267921aa4",
+    10: "b163631d5d2f79a7fe6390677759444deb7814f5c47713d9d2b0df24c80729f4",
+    11: "62a0befdd17644022cb9d9668d82c764c2622b85263c393403dfbe226ee0f4a8",
+    12: "32e16e6668d1cfb3e751d01976127c37004bffee549198a8d4094ce33ae1d91f",
+}
+
+# sha256 of the vectors, one line each with " | " between entries
+SYZYGY_DIGESTS = {
+    4: "af8ba979c800560a11397e34573bb6a0f5784eb5c79f8e30198dd5549eb2fd5f",
+    5: "fc9e387115144ddaa1f728d0f1a948eaec784711eebb83aeb602d0c57832a601",
+}
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(BASE_GB_DIGESTS))
+def test_base_bases_are_pinned(n):
+    from versaldef.versal import _base_gb
+
+    assert _sha256("\n".join(str(p) for p in _base_gb(n).basis)) == BASE_GB_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(SYZYGY_DIGESTS))
+def test_syzygy_vectors_of_the_lines_are_pinned(n):
+    from versaldef.curves import lines_ideal
+
+    vectors = syzygies(lines_ideal(n)).vectors
+    assert _sha256("\n".join(" | ".join(map(str, v)) for v in vectors)) == SYZYGY_DIGESTS[n]

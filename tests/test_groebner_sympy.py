@@ -3,6 +3,7 @@ random ideals: the reduced bases under degrevlex and lex, and normal
 forms, must equal sympy's.  sympy is a test-only oracle; the module is
 skipped where it is not installed."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -51,15 +52,65 @@ def _frozen(p):
     return frozenset(_as_dict(p).items())
 
 
+def _same_basis_as_sympy(gens, order):
+    """Our reduced basis of the ideal, sympy's, and whether they agree."""
+    gb = buchberger(Ideal(REG, [_ours(g) for g in gens]), order)
+    theirs = sympy.groebner([_theirs(g) for g in gens], *SYMS, order=SYMPY_ORDER[order], domain="QQ")
+    same = {_frozen(p) for p in gb.basis} == {_frozen(p) for p in theirs.exprs}
+    return gb, theirs, same and len(gb.basis) == len(theirs.exprs)
+
+
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 @settings(max_examples=60, deadline=None)
 @given(gens=_ideals, f=_polynomials)
 def test_basis_and_normal_form_match_sympy(order, gens, f):
-    ideal = Ideal(REG, [_ours(g) for g in gens])
-    exprs = [_theirs(g) for g in gens]
-    gb = buchberger(ideal, order)
-    theirs = sympy.groebner(exprs, *SYMS, order=SYMPY_ORDER[order], domain="QQ")
-    assert {_frozen(p) for p in gb.basis} == {_frozen(p) for p in theirs.exprs}
-    assert len(gb.basis) == len(theirs.exprs)
+    gb, theirs, same = _same_basis_as_sympy(gens, order)
+    assert same
     _, rem = sympy.reduced(_theirs(f), list(theirs.exprs), *SYMS, order=SYMPY_ORDER[order])
     assert _as_dict(normal_form(_ours(f), gb)) == _as_dict(rem)
+
+
+def _of_degree(d):
+    return [x for x in itertools.product(range(d + 1), repeat=3) if sum(x) == d]
+
+
+# quadrics over the six quadratic monomials of three variables, so that
+# three or more of them share monomials and the echelon form does row
+# operations (and drops dependent rows)
+_quadrics = st.dictionaries(st.sampled_from(_of_degree(2)), _coefficients, min_size=1, max_size=4)
+_cubic_tails = st.dictionaries(st.sampled_from(_of_degree(3)), _coefficients, max_size=2)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(_quadrics, min_size=3, max_size=8))
+def test_echelonised_quadrics_match_sympy(order, gens):
+    assert _same_basis_as_sympy(gens, order)[2]
+
+
+def _times_variable(p, v):
+    return {tuple(e + (i == v) for i, e in enumerate(x)): c for x, c in p.items()}
+
+
+def _plus(p, q):
+    out = dict(p)
+    for x, c in q.items():
+        out[x] = out.get(x, 0) + c
+    return {x: c for x, c in out.items() if c}
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@settings(max_examples=40, deadline=None)
+@given(
+    quadrics=st.lists(_quadrics, min_size=1, max_size=4),
+    cubics=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), _cubic_tails), min_size=1, max_size=3),
+)
+def test_mixed_quadrics_and_cubics_match_sympy(order, quadrics, cubics):
+    # each cubic is a variable times a drawn quadric plus a short tail, so
+    # one of its terms is a multiple of that quadric's leading monomial
+    # unless the tail cancels it: the sweep after the echelon form reduces
+    # across degrees
+    gens = quadrics + [
+        _plus(_times_variable(quadrics[k % len(quadrics)], v), tail) for k, v, tail in cubics
+    ]
+    assert _same_basis_as_sympy([g for g in gens if g], order)[2]

@@ -211,3 +211,21 @@ def test_solve_inconsistent_system_returns_none(rows, b):
     rk = _dense_rank_oracle(rows, 6)
     assume(_dense_rank_oracle(augmented, 7) > rk)
     assert solve(_dense(rows, 6), b) == (rk, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(row_strategy, min_size=1, max_size=7))
+def test_reduced_echelon_is_the_reduced_form_of_the_span(rows):
+    elim = SparseEliminator()
+    for r in rows:
+        elim.add(r)
+    reduced = elim.reduced_echelon()
+    assert list(reduced) == list(elim.pivots)
+    for lead, row in reduced.items():
+        assert min(row) == lead and row[lead] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(k in row for k in reduced if k != lead)
+    # rows, pivot columns and zeros elsewhere among them fix the form:
+    # the reduced rows lie in the span and are as many as its rank
+    rank = _dense_rank_oracle(rows, 6)
+    assert len(reduced) == rank == _dense_rank_oracle(rows + list(reduced.values()), 6)

@@ -72,3 +72,36 @@ def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
         cell = cells[(n, "change")]
         assert cell["ok"] and not cell["timed_out"]
         assert 0 < cell["wall_s"] < 99 and cell["wall_ref"] > 0 and cell["peak_rss_mb"] > 0
+
+
+def test_bench_grid_repeats_cells_and_alternates_sides(tmp_path, monkeypatch):
+    bench_grid = _load("bench_grid")
+    monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)
+    order = []
+    run_cell = bench_grid.run_cell
+
+    def recording_run_cell(src, suite, n):
+        order.append(src)
+        return run_cell(src, suite, n)
+
+    monkeypatch.setattr(bench_grid, "run_cell", recording_run_cell)
+    src = SCRIPTS.parent / "src"
+    other = tmp_path / "src"
+    other.symlink_to(src, target_is_directory=True)
+    affinity = os.sched_getaffinity(0)
+    try:
+        assert bench_grid.main(
+            ["--suite", "axes", "--from", "4", "--to", "4", "--label", "smoke", "--repeats", "2",
+             "--src", str(src), "--side", "one", "--src", str(other), "--side", "two"]
+        ) == 0
+    finally:
+        os.sched_setaffinity(0, affinity)
+    assert order == [src.resolve(), other.resolve(), other.resolve(), src.resolve()]
+    cells = json.loads((tmp_path / "BENCH_smoke.json").read_text())["grid"]["cells"]
+    assert [(c["suite"], c["n"], c["side"]) for c in cells] == [("axes", 4, "one"), ("axes", 4, "two")]
+    for cell in cells:
+        assert cell["ok"] and len(cell["repeats"]) == 2
+        for key in ("wall_s", "wall_ref"):
+            values = [r[key] for r in cell["repeats"]]
+            assert all(v > 0 for v in values)
+            assert cell[key] == sum(values) / 2
