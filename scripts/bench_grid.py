@@ -6,18 +6,20 @@ CAP_S seconds; the walk stops at the first n that fails to finish.  A
 cell records the wall time of the call, the peak RSS of its process,
 whether every check passed, and wall_ref: the wall time divided by the
 mean of ``perfbench.run.reference_loop`` timed just before and just
-after it, which cancels drift in the host's speed.  The cells are
+after it (kept as ref_before_s and ref_after_s, so drift of the host's
+speed during the cell shows as their difference).  The cells are
 merged into the ``grid`` section of BENCH_<label>.json at the repository
 root (created if missing): a cell replaces the one with the same suite,
 n and side, and every other section of the file is kept.
 
 With ``--repeats K`` each cell is run K times (stopping at the first run
-that does not finish); a cell of several runs keeps each run's wall_s
-and wall_ref under "repeats", and its wall_s, wall_ref and peak_rss_mb
-are their medians.  ``--src``/``--side`` may be given several times to
-time several source trees: at each n their runs alternate, the order of
-the sides flipping from one round of runs to the next, and a side that
-fails to finish an n is not run at larger n.
+that does not finish); a cell of several runs keeps each run's wall_s,
+wall_ref, ref_before_s and ref_after_s under "repeats", and its top-level
+values of these and of peak_rss_mb are their medians.
+``--src``/``--side`` may be given several times to time several source
+trees: at each n their runs alternate, the order of the sides flipping
+from one round of runs to the next, and a side that fails to finish an
+n is not run at larger n.
 
     python scripts/bench_grid.py --suite flatness --from 11 --to 13 --label packed_monomials
     python scripts/bench_grid.py --suite flatness --from 11 --to 13 --label packed_monomials \\
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT
 CAP_S = 60.0
+RUN_TIMINGS = ("wall_s", "wall_ref", "ref_before_s", "ref_after_s")
 
 sys.path.insert(0, str(ROOT))
 
@@ -60,9 +63,9 @@ print(json.dumps({
 def run_cell(src: Path, suite: str, n: int) -> dict:
     """One cell in a fresh interpreter; its wall_s is None if it timed
     out after CAP_S or crashed."""
-    ref_before = reference_loop()
     cell = {"suite": suite, "n": n, "wall_s": None, "wall_ref": None,
-            "peak_rss_mb": None, "ok": False, "timed_out": False}
+            "peak_rss_mb": None, "ok": False, "timed_out": False,
+            "ref_before_s": reference_loop(), "ref_after_s": None}
     try:
         proc = subprocess.run([sys.executable, "-c", CELL, str(src), suite, str(n)],
                               capture_output=True, text=True, timeout=CAP_S)
@@ -74,19 +77,20 @@ def run_cell(src: Path, suite: str, n: int) -> dict:
         cell["error"] = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
         return cell
     cell.update(json.loads(lines[-1]))
-    cell["wall_ref"] = cell["wall_s"] / ((ref_before + reference_loop()) / 2)
+    cell["ref_after_s"] = reference_loop()
+    cell["wall_ref"] = cell["wall_s"] / ((cell["ref_before_s"] + cell["ref_after_s"]) / 2)
     return cell
 
 
 def combine(runs: list) -> dict:
     """The cell of one side at one n from its runs: the last run, and if
-    there were several, each run's wall_s and wall_ref under "repeats"
-    and, when every run finished, the medians."""
+    there were several, each run's timings under "repeats" and, when
+    every run finished, the medians."""
     cell = dict(runs[-1])
     if len(runs) > 1:
-        cell["repeats"] = [{"wall_s": r["wall_s"], "wall_ref": r["wall_ref"]} for r in runs]
+        cell["repeats"] = [{k: r[k] for k in RUN_TIMINGS} for r in runs]
         if cell["wall_s"] is not None:
-            for key in ("wall_s", "wall_ref", "peak_rss_mb"):
+            for key in (*RUN_TIMINGS, "peak_rss_mb"):
                 cell[key] = statistics.median(r[key] for r in runs)
             cell["ok"] = all(r["ok"] for r in runs)
     return cell

@@ -344,7 +344,6 @@ class NonrationalLinesReport:
     n: int
     generator_count: int
     displayed_ok: bool
-    specialization_ok: bool
     exponent_residues: tuple
     uniform_wrap_ok: bool
 
@@ -382,17 +381,11 @@ def nonrational_lines_check(n: int) -> NonrationalLinesReport:
         raise ValueError("need n >= 3")
     system = _nonrational_system(n)
     residues = _residues(n, system)
-    tvar = Polynomial.var(build_registry(t=True), "t")
-    # e = 1 specialization: all z_m = t, the line through (1, ..., 1)
-    specialization_ok = all(
-        (tvar ** len(lhs) - tvar ** len(rhs)).is_zero() for lhs, rhs in system
-    )
     uniform = _residues(n, _nonrational_system(n, wrap_with_z1=True))
     return NonrationalLinesReport(
         n=n,
         generator_count=len(system),
         displayed_ok=all(a == b for a, b in residues),
-        specialization_ok=specialization_ok,
         exponent_residues=residues,
         uniform_wrap_ok=all(a == b for a, b in uniform),
     )

@@ -764,22 +764,31 @@ def syzygies(ideal: Ideal, budget: Budget = DEFAULT_BUDGET) -> SyzygyModule:
 def _minimal_generator_count(reg: VarRegistry, vectors, degrees) -> dict:
     """Graded Nakayama count: in each degree, new generators modulo the
     span of monomial multiples of lower-degree ones.  A vector's
-    coordinates are keyed by (generator index, monomial)."""
+    coordinates are keyed by (generator index, monomial).
+
+    In degree d the multiples L go in highest degree first, one lower
+    vector at a time, and after each the degree-d vectors still outside
+    the span are reduced further.  Once none is left, the degree has no
+    new generator and its remaining multiples are never eliminated.
+    Otherwise the count is rank(L + V) - rank(L), taken on the residues
+    left: each is a nonzero multiple of its vector plus an element of L.
+    """
     by_degree: dict = {}
-    order_of = sorted(range(len(vectors)), key=lambda k: (degrees[k], k))
+    keyed = [{(i, m): c for i, v in enumerate(vec) for m, c in v.terms.items()} for vec in vectors]
+    highest_first = sorted(range(len(vectors)), key=lambda k: (-degrees[k], k))
     for d in sorted(set(degrees)):
         span = Span()
-        lower_rank = span.add(
-            {(i, mono_mul(m, mono)): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
-            for k in order_of
-            if degrees[k] < d
-            for mono in monomials_of_weighted_degree(reg, d - degrees[k])
-        )
-        new = span.add(
-            {(i, m): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
-            for k in order_of
-            if degrees[k] == d
-        ) - lower_rank
+        outside = [span.columns(row) for row, deg in zip(keyed, degrees) if deg == d]
+        for k in highest_first:
+            if not outside:
+                break
+            if degrees[k] < d:
+                span.add(
+                    {(i, mono_mul(m, mono)): c for (i, m), c in keyed[k].items()}
+                    for mono in monomials_of_weighted_degree(reg, d - degrees[k])
+                )
+                outside = [r for r in map(span.elim.reduce, outside) if r]
+        new = sum(span.elim.add(r) for r in outside)
         if new:
             by_degree[d] = new
     return by_degree

@@ -140,12 +140,17 @@ class Span:
         self.elim = SparseEliminator()
         self.cols: Dict[Hashable, int] = {}
 
+    def columns(self, row: Mapping[Hashable, Scalar]) -> Row:
+        """``row`` with each key replaced by its column, a new key taking
+        the next free one; the eliminator's rows are in this form."""
+        cols = self.cols
+        return {cols.setdefault(k, len(cols)): c for k, c in row.items()}
+
     def add(self, rows: Iterable[Mapping[Hashable, Scalar]]) -> int:
         """Add the rows (mappings key -> coefficient); return the rank of
         everything added so far."""
-        cols = self.cols
         for row in rows:
-            self.elim.add({cols.setdefault(k, len(cols)): c for k, c in row.items()})
+            self.elim.add(self.columns(row))
         return self.elim.rank
 
 

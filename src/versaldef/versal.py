@@ -462,10 +462,18 @@ def _lifting_conditions(
     vector r lifts iff sum_p r_p * perturbation_p reduces to zero modulo
     the ideal of ``gb``; each monomial of that normal form is one linear
     condition on the unknowns.
+
+    The rows are fed last row first: the last vector first, and within
+    each vector its last condition first.  The rank does not depend on
+    the order, but the fill-in does.  Leading columns grow along the
+    forward order, so the rows whose leads come late become pivots
+    first and the rows that follow meet fewer pivots; at n=12 the
+    weight -1 system is eliminated about nine times faster than in the
+    forward order.
     """
     elim = SparseEliminator()
     nf: Dict[Mono, dict] = {}
-    for vec in vectors:
+    for vec in reversed(vectors):
         cond: Dict[Mono, Dict[int, Scalar]] = {}
         for p, entry in enumerate(vec):
             for mono, c in entry.terms.items():
@@ -477,7 +485,7 @@ def _lifting_conditions(
                     for m, d in nf[prod].items():
                         row = cond.setdefault(m, {})
                         row[u] = row.get(u, 0) + c * d
-        for row in cond.values():
+        for row in reversed(cond.values()):
             elim.add(row)
     return elim
 

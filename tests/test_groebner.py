@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from versaldef import groebner
 from versaldef.groebner import (
@@ -30,6 +30,7 @@ from versaldef.groebner import (
     recheck,
     syzygies,
 )
+from versaldef.linalg import Span
 from versaldef.poly import Polynomial, build_registry, mono_divides, mono_mul, parse
 
 REG = build_registry(nz=3, y=True)
@@ -172,6 +173,66 @@ def test_syzygy_vectors_annihilate(lines_gb):
         for v, g in zip(vec, gens):
             acc = acc + v * g
         assert acc.is_zero()
+
+
+def _full_span_count(reg, vectors, degrees):
+    """Oracle for the minimal generator count: in every degree, the rank
+    the degree's vectors add to the span of all monomial multiples of
+    the lower-degree ones, with no early stop."""
+    by_degree = {}
+    order_of = sorted(range(len(vectors)), key=lambda k: (degrees[k], k))
+    for d in sorted(set(degrees)):
+        span = Span()
+        lower_rank = span.add(
+            {(i, mono_mul(m, mono)): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
+            for k in order_of
+            if degrees[k] < d
+            for mono in groebner.monomials_of_weighted_degree(reg, d - degrees[k])
+        )
+        new = span.add(
+            {(i, m): c for i, v in enumerate(vectors[k]) for m, c in v.terms.items()}
+            for k in order_of
+            if degrees[k] == d
+        ) - lower_rank
+        if new:
+            by_degree[d] = new
+    return by_degree
+
+
+def _assert_count_matches_full_span(mod):
+    reg = mod.ideal.registry
+    got = groebner._minimal_generator_count(reg, mod.vectors, mod.degrees)
+    assert got == _full_span_count(reg, mod.vectors, mod.degrees) == mod.minimal_by_degree
+    return got
+
+
+@pytest.mark.parametrize("n,by_degree", [(4, {3: 5, 4: 5}), (5, {3: 16, 4: 9})])
+def test_minimal_count_of_the_lines_matches_full_span(n, by_degree):
+    from versaldef.curves import lines_ideal
+
+    assert _assert_count_matches_full_span(syzygies(lines_ideal(n))) == by_degree
+
+
+SYZ_REG = build_registry(nz=3)
+
+
+@st.composite
+def _homogeneous_form(draw):
+    monos = groebner.monomials_of_weighted_degree(SYZ_REG, draw(st.integers(1, 3)))
+    coeffs = draw(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=len(monos), max_size=len(monos))
+        .filter(any)
+    )
+    return Polynomial(SYZ_REG, {m: c for m, c in zip(monos, coeffs) if c})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_homogeneous_form(), min_size=2, max_size=4))
+# (z1^2, z2^3, z3^4): one Koszul generator in each of degrees 5, 6 and
+# 7, so the top degree holds a new generator and must not stop early
+@example([parse("z1^2", SYZ_REG), parse("z2^3", SYZ_REG), parse("z3^4", SYZ_REG)])
+def test_minimal_count_of_homogeneous_ideals_matches_full_span(gens):
+    _assert_count_matches_full_span(syzygies(Ideal(SYZ_REG, gens)))
 
 
 def test_transported_basis_remains_a_basis():

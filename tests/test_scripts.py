@@ -72,6 +72,9 @@ def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
         cell = cells[(n, "change")]
         assert cell["ok"] and not cell["timed_out"]
         assert 0 < cell["wall_s"] < 99 and cell["wall_ref"] > 0 and cell["peak_rss_mb"] > 0
+        refs = (cell["ref_before_s"], cell["ref_after_s"])
+        assert all(r > 0 for r in refs)
+        assert cell["wall_ref"] == pytest.approx(cell["wall_s"] / (sum(refs) / 2))
 
 
 def test_bench_grid_repeats_cells_and_alternates_sides(tmp_path, monkeypatch):
@@ -101,7 +104,7 @@ def test_bench_grid_repeats_cells_and_alternates_sides(tmp_path, monkeypatch):
     assert [(c["suite"], c["n"], c["side"]) for c in cells] == [("axes", 4, "one"), ("axes", 4, "two")]
     for cell in cells:
         assert cell["ok"] and len(cell["repeats"]) == 2
-        for key in ("wall_s", "wall_ref"):
+        for key in ("wall_s", "wall_ref", "ref_before_s", "ref_after_s"):
             values = [r[key] for r in cell["repeats"]]
             assert all(v > 0 for v in values)
             assert cell[key] == sum(values) / 2

@@ -147,7 +147,7 @@ CANONICAL_SHA256 = {
     "flatness": "e31c9553184008e62e59bc3bf7d875afafbba58c21b719292ac6e3ef4de47e92",
     "identities": "c660029c8c3721176a882466713b873c7c0303533f8d168881e1b8daa25d436c",
     "induction": "85a5dd4193b6a5415402222c82049e983e0b57d5fa24bf26ba770689e46b7450",
-    "monomial": "06465d89c343ecefc27795769ea694c51633a7c611491ed54f43769d4909733c",
+    "monomial": "323ad34726edc672c3e0ca3398bf7ed7b445aef230cdab9d427da76784d5a11c",
     "smoothings": "cda2039fad87378179d0283fcfcee55cf985a83b8548f460803cd54d25730815",
     "t1t2": "71b6800aa45eef2cfdfffa3f2946e4ad086981c56e27097d89a6ea411bf3e1da",
 }

@@ -161,12 +161,19 @@ _T1_DETAIL = {
     6: (90, 63, 27, 12, 15, 14, 1),
     7: (147, 112, 35, 14, 21, 20, 1),
     8: (224, 180, 44, 16, 28, 27, 1),
+    9: (324, 270, 54, 18, 36, 35, 1),
+    10: (450, 385, 65, 20, 45, 44, 1),
+    11: (605, 528, 77, 22, 55, 54, 1),
 }
+_T1_DIMENSION = {4: 6, 5: 10, 6: 15, 7: 21, 8: 28, 9: 36, 10: 45, 11: 55}
 
 
 @pytest.mark.parametrize("n", sorted(_T1_DETAIL))
 def test_t1_detail_frozen(n):
-    assert dict(t1_compute(n).detail) == dict(zip(_T1_DETAIL_KEYS, _T1_DETAIL[n]))
+    res = t1_compute(n)
+    assert dict(res.detail) == dict(zip(_T1_DETAIL_KEYS, _T1_DETAIL[n]))
+    assert res.dimension == _T1_DIMENSION[n]
+    assert res.by_degree == {-1: _T1_DIMENSION[n], -2: 0}
 
 
 def test_t1_depends_on_relation_vectors(monkeypatch):
