@@ -7,10 +7,13 @@ monomial divides it, found once per monomial and remembered (a memo
 shared by every reduction against one reducer list, which only grows by
 appending), and the returned basis is the unique fully reduced one,
 sorted ascending in the term order.  Plain runs interreduce the input
-by one reduced row echelon form of its terms, and sweep it further only
-where a reduction across degrees is possible.  The product and chain
-criteria prune pairs in plain runs; syzygy-recording runs process every
-pair so that the zero reductions generate the full syzygy module.
+by one reduced row echelon form of its terms, autoreduced further only
+where a reduction across degrees is possible.  Autoreduction is one
+pass that reduces each item against the nonzero results before it; it
+also turns the raw basis, in ascending order, into the reduced one.  The
+product and chain criteria prune pairs in plain runs; syzygy-recording
+runs process every pair so that the zero reductions generate the full
+syzygy module.
 
 Inside the engine a monomial is one int, its packed exponent vector for
 the (order, registry) pair (Bachmann and Schoenemann, "Monomial
@@ -446,10 +449,8 @@ class _Engine:
         terms in descending packed order, does every such reduction at
         once; its rows keep the order in which their pivots were found.
         Any other reduction divides a term by a leading monomial of
-        smaller degree.  Only if some term has a degree above the least
-        leading degree do Gauss-Seidel sweeps follow, until nothing
-        changes; each item's reducer (leading monomial and monic tail) is
-        kept and rebuilt only when the item changes.
+        smaller degree, so only if some term has a degree above the
+        least leading degree are the rows autoreduced, in that order.
         """
         cols = sorted({m for t, _ in seeds for m in t}, reverse=True)
         index = {m: k for k, m in enumerate(cols)}
@@ -459,26 +460,24 @@ class _Engine:
         items = [{cols[k]: c for k, c in row.items()} for row in elim.reduced_echelon().values()]
         degree = self.pk.degree
         low = min((degree(max(x)) for x in items), default=0)
-        changed = any(degree(m) > low for x in items for m in x)
-        heads = [self._head(x) for x in items] if changed else []
-        while changed:
-            changed = False
-            for i in range(len(items)):
-                if not items[i]:
-                    continue
-                others = [h for k, h in enumerate(heads) if k != i and h]
-                if not others:
-                    continue
-                rem, _ = _reduce_terms(items[i], others, self.pk, self.budget, {})
-                if rem != items[i]:
-                    items[i] = rem
-                    heads[i] = self._head(rem) if rem else None
-                    changed = True
-        return [(x, {}) for x in items if x]
+        if any(degree(m) > low for x in items for m in x):
+            items = self._autoreduce(items)
+        return [(x, {}) for x in items]
 
-    def _head(self, terms: dict) -> Tuple[int, tuple]:
-        lt = max(terms)
-        return _reducer(_monic(terms, lt)[1], lt)
+    def _autoreduce(self, items: List[dict]) -> List[dict]:
+        """Each item reduced against the nonzero results before it, in
+        order, those that reduce to zero dropped.  The reducers only grow
+        by appending, so one memo serves every reduction."""
+        kept: List[dict] = []
+        reducers: List[Tuple[int, tuple]] = []
+        memo: Dict[int, int] = {}
+        for terms in items:
+            rem, _ = _reduce_terms(terms, reducers, self.pk, self.budget, memo)
+            if rem:
+                kept.append(rem)
+                lt = max(rem)
+                reducers.append(_reducer(_monic(rem, lt)[1], lt))
+        return kept
 
     def _push(self, terms: dict, row: Dict[int, dict]) -> int:
         lt = max(terms)
@@ -544,20 +543,13 @@ class _Engine:
         return False
 
     def reduced_basis(self) -> List[dict]:
-        """The minimal leading monomials, ascending, each polynomial
-        reduced against the others (Gauss-Seidel, so later items see the
-        reduced earlier ones)."""
-        kept: List[Tuple[int, tuple]] = []
-        for lt, tail in sorted(self.reducers, key=lambda r: r[0]):
-            if not any(self.pk.divides(kl, lt) for kl, _ in kept):
-                kept.append((lt, tail))
-        out = []
-        for pos, (lt, tail) in enumerate(kept):
-            others = kept[:pos] + kept[pos + 1:]
-            rem, _ = _reduce_terms(dict(((lt, 1),) + tail), others, self.pk, self.budget, {})
-            kept[pos] = _reducer(rem, lt)
-            out.append(rem)
-        return out
+        """The reduced basis, ascending: the raw reducers autoreduced in
+        ascending order of leading monomial.  A term below a leading
+        monomial is divisible only by a smaller one, so the items before
+        an element are all it needs; one whose leading monomial is not
+        minimal reduces to zero against them and drops out."""
+        ascending = sorted(self.reducers, key=lambda r: r[0])
+        return self._autoreduce([dict(((lt, 1),) + tail) for lt, tail in ascending])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,25 @@ def _integer_row(row: Row) -> IntRow:
     return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
+def _clear(row: IntRow, piv: IntRow, col: int) -> None:
+    """One Bareiss step in place: row <- a*row - b*piv with a/b =
+    piv[col]/row[col] in lowest terms, which clears row[col].  a > 0
+    because every pivot's entry at its lead is positive."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in piv.items():
+        acc = row.get(k, 0) - b * v
+        if acc:
+            row[k] = acc
+        else:
+            del row[k]
+
+
 class SparseEliminator:
     """Incremental fraction-free Gaussian elimination; feed rows, read
     off the rank.
@@ -60,20 +79,7 @@ class SparseEliminator:
             piv = pivots.get(lead)
             if piv is None:
                 break
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            # row <- a*row - b*piv; a > 0 because pivot leads are positive
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, v in piv.items():
-                acc = row.get(k, 0) - b * v
-                if acc:
-                    row[k] = acc
-                else:
-                    del row[k]
+            _clear(row, piv, lead)
         return row
 
     def add(self, row: Row) -> bool:
@@ -109,20 +115,7 @@ class SparseEliminator:
         for lead in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[lead])
             for k in [k for k in row if k != lead and k in done]:
-                piv = done[k]
-                a, b = piv[k], row[k]
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                if a != 1:
-                    for j in row:
-                        row[j] *= a
-                for j, v in piv.items():
-                    acc = row.get(j, 0) - b * v
-                    if acc:
-                        row[j] = acc
-                    else:
-                        del row[j]
+                _clear(row, done[k], k)
             g = gcd(*row.values())
             done[lead] = {j: v // g for j, v in row.items()} if g != 1 else row
         return {lead: done[lead] for lead in self.pivots}

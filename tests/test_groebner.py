@@ -512,6 +512,29 @@ def test_seeds_of_mixed_degree_are_swept_after_the_echelon_form(monkeypatch):
     assert normal_form(seeds[2], buchberger(Ideal(REG, gens))).is_zero()
 
 
+def test_reduced_basis_drops_non_minimal_elements_with_one_memo(monkeypatch):
+    oracle = pytest.importorskip("test_groebner_sympy")
+    # z1*z2*z3 - z2 and z2*z3 - z2*z3^2; two of the four raw elements
+    # have a leading monomial divisible by another's
+    gens = [{(1, 1, 1): 1, (0, 1, 0): -1}, {(0, 1, 1): 1, (0, 1, 2): -1}]
+    gb, _, same = oracle._same_basis_as_sympy(gens, DEGREVLEX)
+    assert same and gb.stats["basis_size_raw"] > len(gb.basis)
+    eng = _Engine(Ideal(oracle.REG, [oracle._ours(g) for g in gens]), DEGREVLEX, DEFAULT_BUDGET, False)
+    eng.run()
+    memos = []
+    reduce_terms = groebner._reduce_terms
+
+    def recording_reduce(terms, reducers, pk, budget, memo, record=False):
+        memos.append(memo)
+        return reduce_terms(terms, reducers, pk, budget, memo, record)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", recording_reduce)
+    basis = eng.reduced_basis()
+    assert tuple(Polynomial._raw(oracle.REG, eng.pk.unpack(t)) for t in basis) == gb.basis
+    assert len(memos) == gb.stats["basis_size_raw"]
+    assert all(memo is memos[0] for memo in memos)
+
+
 # sha256 of "\n".join(str(p) for p in basis), recorded before the echelon
 # interreduction and the reducer memo were introduced
 BASE_GB_DIGESTS = {

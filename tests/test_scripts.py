@@ -108,3 +108,29 @@ def test_bench_grid_repeats_cells_and_alternates_sides(tmp_path, monkeypatch):
             values = [r[key] for r in cell["repeats"]]
             assert all(v > 0 for v in values)
             assert cell[key] == sum(values) / 2
+
+
+def test_count_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    count_code_lines = _load("count_code_lines")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "one.py").write_text("x = 1\n")
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # code with a comment\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self, a,\n"
+        "          b):\n"
+        "        '''Function\n"
+        "        docstring.'''\n"
+        '        return """not a\n'
+        'docstring"""\n'
+    )
+    assert count_code_lines.count(tmp_path) == {"mod.py": 6, "sub/one.py": 1}
+    assert count_code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "total"]
