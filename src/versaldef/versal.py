@@ -148,8 +148,27 @@ def phi(i: int, j: int, k: int, n: int) -> Polynomial:
     return _phi(base_registry(n), i, j, k)
 
 
+Triple = Tuple[int, int, int]
+
+
+def _quadric_phi_terms(i: int, j: int, l: int, k: int, m: int) -> Tuple[Tuple[Triple, int], ...]:
+    """The base quadric (i, j, l, k, m) as its (triple, sign) pairs,
+    phi_ijk - phi_ilk - phi_ijm + phi_ilm.  ``_quadric`` sums them and the
+    T2 certificate reads them, so the polynomial and its phi-coordinates
+    cannot drift apart."""
+    return (((i, j, k), 1), ((i, l, k), -1), ((i, j, m), -1), ((i, l, m), 1))
+
+
 def _quadric(reg: VarRegistry, i: int, j: int, l: int, k: int, m: int) -> Polynomial:
-    return _phi(reg, i, j, k) - _phi(reg, i, l, k) - _phi(reg, i, j, m) + _phi(reg, i, l, m)
+    terms: Dict[Mono, int] = {}
+    for t, sign in _quadric_phi_terms(i, j, l, k, m):
+        for mono, c in _phi(reg, *t).terms.items():
+            acc = terms.get(mono, 0) + sign * c
+            if acc:
+                terms[mono] = acc
+            else:
+                del terms[mono]
+    return Polynomial._raw(reg, terms)
 
 
 def base_quadric(i: int, j: int, l: int, k: int, m: int, n: int) -> Polynomial:
@@ -285,12 +304,77 @@ def _same_quadric_ideal(
     return quadrics and span.elim.rank == span_rank(W) == span.add(p.terms for p in W)
 
 
+def _phi_independent(n: int) -> bool:
+    """Whether phi of every ordering of a triple is phi of the sorted
+    triple and the C(n,3) phi_abc are linearly independent polynomials.
+    Then the map e_abc -> phi_abc is injective, and a rank taken in
+    phi-coordinates keyed by sorted triples is the rank of the
+    polynomials."""
+    reg = base_registry(n)
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    return not phi_symmetry_failures(n) and Span().add(
+        _phi(reg, *t).terms for t in triples
+    ) == len(triples)
+
+
+def _phi_coordinates(n: int) -> List[Dict[Triple, int]]:
+    """Each base quadric as a vector over the phi_abc, keyed by the
+    sorted triple a < b < c, read off ``_quadric_phi_terms``."""
+    vectors = []
+    for q in quadric_index_set(n):
+        vec: Dict[Triple, int] = {}
+        for t, sign in _quadric_phi_terms(*q):
+            key = tuple(sorted(t))
+            vec[key] = vec.get(key, 0) + sign
+        vectors.append({key: c for key, c in vec.items() if c})
+    return vectors
+
+
+def _t2_bounds(n: int, vectors: Sequence[Mapping[Triple, int]]) -> Tuple[int, int]:
+    """Lower and upper bounds on the rank of ``vectors``, given over the
+    C(n,3) sorted triples.
+
+    Upper: the incidence functionals f_t(e_abc) = [t in {a, b, c}] that
+    vanish on every vector annihilate their span, so the rank is at most
+    C(n,3) minus the rank of those functionals.  Lower: vectors whose
+    largest keys (leads) differ form a triangular system, so the number
+    of distinct leads is at most the rank.
+    """
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    leads = set()
+    nonvanishing = set()
+    for vec in vectors:
+        leads.add(max(vec))
+        values: Dict[int, int] = {}
+        for key, c in vec.items():
+            for t in key:
+                values[t] = values.get(t, 0) + c
+        nonvanishing.update(t for t, v in values.items() if v)
+    annihilators = [
+        {key: 1 for key in triples if t in key}
+        for t in range(1, n + 1) if t not in nonvanishing
+    ]
+    return len(leads), len(triples) - Span().add(annihilators)
+
+
 def t2_dimension(n: int) -> int:
     """Rank of the full base-quadric family inside the space of
-    quadratic monomials (the obstruction-space dimension)."""
+    quadratic monomials (the obstruction-space dimension).
+
+    The rank is certified from the phi-coordinates of the quadrics, not
+    by eliminating them: the phi_abc are independent
+    (``_phi_independent``), the n incidence functionals vanish on every
+    quadric and are independent, and there are C(n,3) - n distinct leads
+    (``_t2_bounds``).  ValueError if the bounds do not meet.
+    """
     if n < 4:
         raise ValueError("need n >= 4")
-    return span_rank(base_ideal(n, minimal=False).generators)
+    if not _phi_independent(n):
+        raise ValueError(f"n={n}: the phi_abc are not independent, so phi-coordinates give no rank")
+    lower, upper = _t2_bounds(n, _phi_coordinates(n))
+    if lower != upper:
+        raise ValueError(f"n={n}: T2 rank not certified, lower bound {lower}, upper bound {upper}")
+    return lower
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ cannot pass silently."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from test_verify import _record_buchberger
 
 from versaldef import versal
+from versaldef.curves import t2_formula
 from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
 from versaldef.poly import Polynomial, build_registry, parse, substitute
 from versaldef.versal import (
@@ -202,9 +204,59 @@ def test_t1_rejects_small_n():
         t1_compute(3)
 
 
-@pytest.mark.parametrize("n,dim", [(4, 0), (5, 5), (6, 14), (7, 28)])
+@pytest.mark.parametrize("n,dim", [(n, t2_formula(n)) for n in range(4, 17)])
 def test_t2_dimension(n, dim):
     assert t2_dimension(n) == dim
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_t2_dimension_matches_full_family_rank(n):
+    """The oracle: the rank of every base quadric over the monomials."""
+    assert t2_dimension(n) == span_rank(base_ideal(n).generators)
+
+
+def test_t2_certificate_fails_on_a_flipped_phi_sign(monkeypatch):
+    n = 7
+    bad = quadric_index_set(n)[0]
+    original = versal._quadric_phi_terms
+
+    def flipped(*q):
+        terms = original(*q)
+        if q != bad:
+            return terms
+        (t, sign), *rest = terms
+        return ((t, -sign), *rest)
+
+    before = base_quadric(*bad, n)
+    monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
+    assert base_quadric(*bad, n) != before
+    lower, upper = versal._t2_bounds(n, versal._phi_coordinates(n))
+    assert (lower, upper) == (t2_formula(n), t2_formula(n) + 3)
+    with pytest.raises(ValueError, match=f"lower bound {lower}, upper bound {upper}"):
+        t2_dimension(n)
+
+
+def test_t2_certificate_fails_on_a_dropped_lead():
+    n = 7
+    vectors = versal._phi_coordinates(n)
+    lead = max(vectors[0])
+    lower, upper = versal._t2_bounds(n, [v for v in vectors if max(v) != lead])
+    assert upper == t2_formula(n)
+    assert lower == upper - 1
+
+
+def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
+    n = 6
+    original = versal._phi
+
+    def merged(reg, i, j, k):
+        return original(reg, 1, 2, 4) if sorted((i, j, k)) == [1, 2, 3] else original(reg, i, j, k)
+
+    monkeypatch.setattr(versal, "_phi", merged)
+    assert not phi_symmetry_failures(n)
+    assert not versal._phi_independent(n)
+    with pytest.raises(ValueError, match="not independent"):
+        t2_dimension(n)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -304,8 +356,9 @@ def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
 
 def test_induction_system_is_eliminated_once(monkeypatch):
     """carried, then substituted, then the target twice (alone and on top
-    of the induction system), then the full family for T2: every other
-    elimination of the same quadrics is a repeat."""
+    of the induction system): every other elimination of the same
+    quadrics is a repeat.  T2 eliminates no quadric, only the C(n,3)
+    phi_abc and the n incidence functionals."""
     from versaldef.linalg import SparseEliminator
 
     rows = []
@@ -317,7 +370,7 @@ def test_induction_system_is_eliminated_once(monkeypatch):
     assert report.ok
     substituted, carried = _induction_systems(6)
     target = minimal_base_quadrics(6)
-    expected = len(carried) + len(substituted) + 2 * len(target) + len(quadric_index_set(6))
+    expected = len(carried) + len(substituted) + 2 * len(target) + math.comb(6, 3) + 6
     assert len(rows) == expected
     assert report.carried_rank == span_rank(carried)
     assert report.combined_rank == span_rank(carried + substituted)
