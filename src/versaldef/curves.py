@@ -311,18 +311,14 @@ def parametrization_kernel(
 
 
 def monomial_ideal(kind: str, n: int, budget: Budget = DEFAULT_BUDGET) -> Ideal:
-    """Ideal of a monomial curve.
-
-    The elliptic one is given by its explicit quadratic/cubic rewriting
-    table; the rational one is defined as the elimination kernel of its
-    parametrization (the table analogue is a separate cross-check).
-    """
-    if kind == MONOMIAL_ELLIPTIC:
-        reg = _monomial_registry(n)
-        return Ideal(reg, elliptic_monomial_table(n))
-    if kind == MONOMIAL_RATIONAL:
-        return parametrization_kernel(n, [n + m - 1 for m in range(1, n + 1)], budget)
-    raise ValueError(f"unsupported monomial curve kind {kind!r}")
+    """Ideal of a monomial curve: the elimination kernel of its
+    parametrization, z_m -> t^(n+m) for the elliptic curve and
+    t^(n+m-1) for the rational one.  The rewriting tables are separate
+    cross-checks against it."""
+    offsets = {MONOMIAL_ELLIPTIC: n, MONOMIAL_RATIONAL: n - 1}
+    if kind not in offsets:
+        raise ValueError(f"unsupported monomial curve kind {kind!r}")
+    return parametrization_kernel(n, [offsets[kind] + m for m in range(1, n + 1)], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -86,19 +86,11 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # variables and registries
 
-KIND_Z = "z"
-KIND_Y = "y"
-KIND_A = "a"
-KIND_PARAM = "param"
-
-
 @dataclass(frozen=True)
 class Var:
-    """A single variable: display name, kind, index data and weight."""
+    """A single variable: display name and weight."""
 
     name: str
-    kind: str
-    index: tuple
     weight: int
 
 
@@ -199,24 +191,24 @@ def build_registry(
     get the a_i_j with 1 <= i < j <= n, ordered registries all ordered
     pairs i != j.
     """
-    vs = [Var(f"z{i}", KIND_Z, (i,), 1) for i in range(1, nz + 1)]
+    vs = [Var(f"z{i}", 1) for i in range(1, nz + 1)]
     if y:
-        vs.append(Var("y", KIND_Y, (), 2))
+        vs.append(Var("y", 2))
     if t:
-        vs.append(Var("t", KIND_PARAM, (), 1))
+        vs.append(Var("t", 1))
     if s:
-        vs.append(Var("s", KIND_PARAM, (), 1))
+        vs.append(Var("s", 1))
     if ordered_pairs:
         for i in range(1, npairs + 1):
             for j in range(1, npairs + 1):
                 if i != j:
-                    vs.append(Var(f"a_{i}_{j}", KIND_A, (i, j), 1))
+                    vs.append(Var(f"a_{i}_{j}", 1))
     else:
         for i in range(1, npairs + 1):
             for j in range(i + 1, npairs + 1):
-                vs.append(Var(f"a_{i}_{j}", KIND_A, (i, j), 1))
+                vs.append(Var(f"a_{i}_{j}", 1))
     for k in params:
-        vs.append(Var(f"a_{k}", KIND_PARAM, (k,), 1))
+        vs.append(Var(f"a_{k}", 1))
     return VarRegistry(tuple(vs), antisymmetric_pairs=not ordered_pairs)
 
 

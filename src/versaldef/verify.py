@@ -1,19 +1,23 @@
 """Verification suites: every mathematical claim the package encodes,
 run as independent checks and collected into a diffable report.
 
-Each check carries an anchor naming the claim in the claim registry
-(see CLAIMS.md); a failing check records its counterexample in the
-details and never aborts the rest of the suite.  A check that runs out
-of its Groebner budget is reported as skipped, not as failed.
+A suite declares the checks of one n: it yields (check id, anchor, fn)
+in report order.  ``run_suite`` iterates over the n range and runs each
+check through ``_run``, the one place a check runs.  Each check carries
+an anchor naming the claim in the claim registry (see CLAIMS.md); a
+failing check records its counterexample in the details and never
+aborts the rest of the suite.  A check that runs out of its Groebner
+budget is reported as skipped, not as failed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import curves, versal
 from .groebner import (
@@ -67,6 +71,11 @@ ANCHORS = {
 }
 
 
+# one check as a suite declares it: (check id, anchor, fn); fn returns
+# the verdict and its details
+CheckSpec = Tuple[str, str, Callable[[], Tuple[bool, str]]]
+
+
 def _run(
     checks: List[Check],
     cid: str,
@@ -93,287 +102,250 @@ def _fails_to_details(fails: list, what: str) -> Tuple[bool, str]:
     return False, f"{what} violated at {shown}{more}"
 
 
-def _suite_identities(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        _run(checks, f"phi-symmetry-n{n}", "phi-symmetry",
-             lambda n=n: _fails_to_details(versal.phi_symmetry_failures(n), "symmetry"))
-        _run(checks, f"quadric-symmetry-n{n}", "quadric-antisymmetry",
-             lambda n=n: _fails_to_details(versal.quadric_symmetry_failures(n), "symmetry"))
-        _run(checks, f"cocycle-n{n}", "relation-cocycle",
-             lambda n=n: _fails_to_details(versal.cocycle_failures(n), "cocycle"))
-        _run(checks, f"family-expanded-n{n}", "family-expanded-form",
-             lambda n=n: _fails_to_details(versal.family_expanded_failures(n), "expansion"))
-        _run(checks, f"family-aux-index-n{n}", "family-auxiliary-index",
-             lambda n=n: _fails_to_details(versal.family_k_change_failures(n), "index change"))
-        if n >= 6:
-            _run(checks, f"four-term-n{n}", "quadric-four-term-relation",
-                 lambda n=n: _fails_to_details(versal.four_term_failures(n), "relation"))
-    return checks
+def _suite_identities(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    yield f"phi-symmetry-n{n}", "phi-symmetry", lambda: _fails_to_details(
+        versal.phi_symmetry_failures(n), "symmetry")
+    yield f"quadric-symmetry-n{n}", "quadric-antisymmetry", lambda: _fails_to_details(
+        versal.quadric_symmetry_failures(n), "symmetry")
+    yield f"cocycle-n{n}", "relation-cocycle", lambda: _fails_to_details(
+        versal.cocycle_failures(n), "cocycle")
+    yield f"family-expanded-n{n}", "family-expanded-form", lambda: _fails_to_details(
+        versal.family_expanded_failures(n), "expansion")
+    yield f"family-aux-index-n{n}", "family-auxiliary-index", lambda: _fails_to_details(
+        versal.family_k_change_failures(n), "index change")
+    if n >= 6:
+        yield f"four-term-n{n}", "quadric-four-term-relation", lambda: _fails_to_details(
+            versal.four_term_failures(n), "relation")
 
 
-def _suite_t1t2(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        def t1_dim(n=n):
-            r = versal.t1_compute(n)
-            expect = curves.elliptic_t1_formula(n, n + 1)
-            ok = r.dimension == expect
-            return ok, f"dimension {r.dimension}, expected {expect}"
+def _suite_t1t2(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def t1_dim():
+        r = versal.t1_compute(n)
+        expect = curves.elliptic_t1_formula(n, n + 1)
+        ok = r.dimension == expect
+        return ok, f"dimension {r.dimension}, expected {expect}"
 
-        def t1_deg2(n=n):
-            r = versal.t1_compute(n)
-            return r.by_degree[-2] == 0, f"degree -2 part has dimension {r.by_degree[-2]}"
+    def t1_deg2():
+        r = versal.t1_compute(n)
+        return r.by_degree[-2] == 0, f"degree -2 part has dimension {r.by_degree[-2]}"
 
-        def t1_basis(n=n):
-            r = versal.t1_compute(n)
-            return r.basis_ok, f"detail: {dict(r.detail)}"
+    def t1_basis():
+        r = versal.t1_compute(n)
+        return r.basis_ok, f"detail: {dict(r.detail)}"
 
-        def t2(n=n):
-            d = versal.t2_dimension(n)
-            expect = curves.t2_formula(n)
-            return d == expect, f"rank {d}, expected {expect}"
+    def t2():
+        d = versal.t2_dimension(n)
+        expect = curves.t2_formula(n)
+        return d == expect, f"rank {d}, expected {expect}"
 
-        _run(checks, f"t1-dimension-n{n}", "t1-dimension", t1_dim)
-        _run(checks, f"t1-degree-minus-two-n{n}", "t1-no-constant-part", t1_deg2)
-        _run(checks, f"t1-basis-n{n}", "t1-basis", t1_basis)
-        _run(checks, f"t2-dimension-n{n}", "t2-dimension", t2)
-    return checks
+    yield f"t1-dimension-n{n}", "t1-dimension", t1_dim
+    yield f"t1-degree-minus-two-n{n}", "t1-no-constant-part", t1_deg2
+    yield f"t1-basis-n{n}", "t1-basis", t1_basis
+    yield f"t2-dimension-n{n}", "t2-dimension", t2
 
 
-def _suite_flatness(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        def flat(n=n):
-            rep = versal.verify_flatness(n, budget)
-            if rep.ok:
-                return True, f"{len(rep.certificates)} relations lifted"
-            bad = [c for c in rep.certificates if not c.ok]
-            first = bad[0]
-            return False, (
-                f"{len(bad)} relations fail; quadruple {first.quadruple} "
-                f"leaves residual {first.residual}"
-            )
+def _suite_flatness(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def flat():
+        rep = versal.verify_flatness(n, budget)
+        if rep.ok:
+            return True, f"{len(rep.certificates)} relations lifted"
+        bad = [c for c in rep.certificates if not c.ok]
+        first = bad[0]
+        return False, (
+            f"{len(bad)} relations fail; quadruple {first.quadruple} "
+            f"leaves residual {first.residual}"
+        )
 
-        _run(checks, f"flatness-n{n}", "flatness-lift", flat)
-    return checks
+    yield f"flatness-n{n}", "flatness-lift", flat
 
 
-def _suite_base_geometry(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    hilbert_cache: dict = {}
+def _suite_base_geometry(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    @functools.cache
+    def geometry():
+        return hilbert_data(versal._base_gb(n, budget))
 
-    def geometry(n):
-        if n not in hilbert_cache:
-            hilbert_cache[n] = hilbert_data(versal._base_gb(n, budget))
-        return hilbert_cache[n]
+    def size():
+        got = len(versal.base_ideal(n, minimal=True).generators)
+        expect = math.comb(n, 3) - n
+        return got == expect, f"{got} generators, expected {expect}"
 
-    for n in range(lo, hi + 1):
-        def size(n=n):
-            got = len(versal.base_ideal(n, minimal=True).generators)
-            expect = math.comb(n, 3) - n
-            return got == expect, f"{got} generators, expected {expect}"
+    def dim():
+        h = geometry()
+        return h.dimension == n + 2, f"dimension {h.dimension}, expected {n + 2}"
 
-        _run(checks, f"base-size-n{n}", "base-minimal-system-size", size)
+    def mult():
+        h = geometry()
+        expect = math.factorial(n) // 24
+        return h.multiplicity == expect, f"multiplicity {h.multiplicity}, expected {expect}"
 
-        def dim(n=n):
-            h = geometry(n)
-            return h.dimension == n + 2, f"dimension {h.dimension}, expected {n + 2}"
+    yield f"base-size-n{n}", "base-minimal-system-size", size
+    yield f"base-dimension-n{n}", "base-dimension", dim
+    yield f"base-multiplicity-n{n}", "base-multiplicity", mult
 
-        def mult(n=n):
-            h = geometry(n)
-            expect = math.factorial(n) // 24
-            return h.multiplicity == expect, f"multiplicity {h.multiplicity}, expected {expect}"
+    if n == 5:
+        def hvec():
+            h = geometry()
+            return h.h_vector == (1, 3, 1), f"h-vector {h.h_vector}"
 
-        _run(checks, f"base-dimension-n{n}", "base-dimension", dim)
-        _run(checks, f"base-multiplicity-n{n}", "base-multiplicity", mult)
-
-        if n == 5:
-            def hvec(n=n):
-                h = geometry(n)
-                return h.h_vector == (1, 3, 1), f"h-vector {h.h_vector}"
-
-            def pfaff(n=n):
-                rep = versal.pfaffian_check()
-                return rep.ok, (
-                    f"quadratic={rep.all_quadratic} "
-                    f"expansions-agree={rep.expansion_consistent} "
-                    f"ideal-equal={rep.ideal_equal_ok}"
-                )
-
-            _run(checks, "base-h-vector-n5", "base-h-vector", hvec)
-            _run(checks, "base-pfaffians-n5", "base-pfaffian-presentation", pfaff)
-    return checks
-
-
-def _suite_induction(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(max(lo, 5), hi + 1):
-        def induct(n=n):
-            r = versal.base_equals_total(n)
-            return r.ok, (
-                f"substitution-matches={r.substitution_matches} "
-                f"new-rank={r.new_rank}/{r.expected_new_rank} "
-                f"combined-rank={r.combined_rank} ideal-equal={r.ideal_equal_ok}"
-            )
-
-        _run(checks, f"induction-n{n}", "base-equals-previous-total", induct)
-    return checks
-
-
-def _suite_smoothings(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        for variant, anchor in (
-            (versal.DIAGONAL, "smoothing-diagonal"),
-            (versal.AXIS_PARABOLA, "smoothing-axis-parabola"),
-        ):
-            def smooth(n=n, variant=variant):
-                _, rep = versal.smoothing_family(variant, n)
-                bad = [c.name for c in rep.checks if not c.ok]
-                details = f"{rep.branch_count} branches, {len(rep.checks)} checks"
-                if bad:
-                    details += f"; failing: {', '.join(bad)}"
-                return rep.ok, details
-
-            _run(checks, f"smoothing-{variant.lower().replace('_', '-')}-n{n}", anchor, smooth)
-    return checks
-
-
-def _suite_monomial(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        def family(n=n):
-            samples = None
-            if rng is not None:
-                samples = versal.default_projection_samples(n) + [
-                    tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-                ]
-            _, rep = versal.elliptic_monomial_family(n, samples=samples, budget=budget)
+        def pfaff():
+            rep = versal.pfaffian_check()
             return rep.ok, (
-                f"zero-fiber={rep.zero_fiber_ok} "
-                f"parametrization={rep.parametrization_ok} "
-                f"projections={[bool(ok) for _, ok in rep.projections]}"
+                f"quadratic={rep.all_quadratic} "
+                f"expansions-agree={rep.expansion_consistent} "
+                f"ideal-equal={rep.ideal_equal_ok}"
             )
 
-        def elliptic_kernel(n=n):
-            table = curves.elliptic_monomial_table(n)
-            reg = table[0].reg
-            kernel = curves.monomial_ideal(curves.MONOMIAL_ELLIPTIC, n, budget)
-            ok = ideal_equal(Ideal(reg, table), kernel, budget=budget)
-            return ok, f"{len(table)} table generators vs {len(kernel.generators)} kernel generators"
-
-        def rational_kernel(n=n):
-            table = curves.rational_monomial_table(n)
-            reg = table[0].reg
-            kernel = curves.monomial_ideal(curves.MONOMIAL_RATIONAL, n, budget)
-            ok = ideal_equal(Ideal(reg, table), kernel, budget=budget)
-            return ok, f"{len(table)} table generators vs {len(kernel.generators)} kernel generators"
-
-        def nonrational(n=n):
-            rep = curves.nonrational_lines_check(n)
-            return rep.displayed_ok, (
-                f"displayed={rep.displayed_ok} uniform-wrap-would-pass={rep.uniform_wrap_ok}"
-            )
-
-        def semigroups(n=n):
-            rat = curves.semigroup_invariants(range(n, 2 * n))
-            ell = curves.semigroup_invariants(range(n + 1, 2 * n + 1))
-            ok = (
-                rat.delta == n - 1
-                and rat.multiplicity == n
-                and ell.delta == n + 1
-                and ell.multiplicity == n + 1
-            )
-            return ok, f"rational delta={rat.delta} elliptic delta={ell.delta}"
-
-        _run(checks, f"monomial-elliptic-n{n}", "elliptic-monomial-family", family)
-        _run(checks, f"monomial-elliptic-kernel-n{n}", "elliptic-monomial-kernel", elliptic_kernel)
-        _run(checks, f"monomial-rational-kernel-n{n}", "rational-monomial-kernel", rational_kernel)
-        _run(checks, f"nonrational-lines-n{n}", "nonrational-lines", nonrational)
-        _run(checks, f"semigroup-invariants-n{n}", "semigroup-delta", semigroups)
-    return checks
+        yield "base-h-vector-n5", "base-h-vector", hvec
+        yield "base-pfaffians-n5", "base-pfaffian-presentation", pfaff
 
 
-def _suite_axes(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        def axes(n=n):
-            r = versal.axes_family_report(n)
-            return r.ok, (
-                f"parameters={r.parameter_count} t1={r.t1_dimension} "
-                f"fiber={r.zero_fiber_ok} aux-index={r.k_independence_ok}"
-            )
+def _suite_induction(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    if n < 5:
+        return
 
-        def wedge(n=n):
-            # n coordinate axes plus the all-ones line, cusp straightened
-            # into a generic target direction
-            c = rng.randint(2, 9) if rng is not None else 2
-            axes_dirs = [
-                tuple(Fraction(1 if m == i else 0) for m in range(1, n + 1))
-                for i in range(1, n + 1)
+    def induct():
+        r = versal.base_equals_total(n)
+        return r.ok, (
+            f"substitution-matches={r.substitution_matches} "
+            f"new-rank={r.new_rank}/{r.expected_new_rank} "
+            f"combined-rank={r.combined_rank} ideal-equal={r.ideal_equal_ok}"
+        )
+
+    yield f"induction-n{n}", "base-equals-previous-total", induct
+
+
+def _suite_smoothings(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def smooth(variant):
+        _, rep = versal.smoothing_family(variant, n)
+        bad = [c.name for c in rep.checks if not c.ok]
+        details = f"{rep.branch_count} branches, {len(rep.checks)} checks"
+        if bad:
+            details += f"; failing: {', '.join(bad)}"
+        return rep.ok, details
+
+    yield f"smoothing-diagonal-n{n}", "smoothing-diagonal", lambda: smooth(versal.DIAGONAL)
+    yield (f"smoothing-axis-parabola-n{n}", "smoothing-axis-parabola",
+           lambda: smooth(versal.AXIS_PARABOLA))
+
+
+def _suite_monomial(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def family():
+        samples = None
+        if rng is not None:
+            samples = versal.default_projection_samples(n) + [
+                tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
             ]
-            ones = tuple(Fraction(1) for _ in range(n))
-            target = tuple(Fraction(c) ** k for k in range(n))
-            dw = versal.wedge_a2_deformation(axes_dirs + [ones, target], n)
-            return dw.ok, (
-                f"r={dw.r} rank={dw.rank} target c={c} "
-                f"lines-fixed={dw.lines_fixed_ok} straightened={dw.straightened_ok}"
-            )
+        _, rep = versal.elliptic_monomial_family(n, samples=samples, budget=budget)
+        return rep.ok, (
+            f"zero-fiber={rep.zero_fiber_ok} "
+            f"parametrization={rep.parametrization_ok} "
+            f"projections={[bool(ok) for _, ok in rep.projections]}"
+        )
 
-        _run(checks, f"axes-family-n{n}", "axes-family", axes)
-        _run(checks, f"wedge-straightening-n{n}", "wedge-straightening", wedge)
-    return checks
+    def table_vs_kernel(kind, table):
+        kernel = curves.monomial_ideal(kind, n, budget)
+        ok = ideal_equal(Ideal(table[0].reg, table), kernel, budget=budget)
+        return ok, f"{len(table)} table generators vs {len(kernel.generators)} kernel generators"
+
+    def nonrational():
+        rep = curves.nonrational_lines_check(n)
+        return rep.displayed_ok, (
+            f"displayed={rep.displayed_ok} uniform-wrap-would-pass={rep.uniform_wrap_ok}"
+        )
+
+    def semigroups():
+        rat = curves.semigroup_invariants(range(n, 2 * n))
+        ell = curves.semigroup_invariants(range(n + 1, 2 * n + 1))
+        ok = (
+            rat.delta == n - 1
+            and rat.multiplicity == n
+            and ell.delta == n + 1
+            and ell.multiplicity == n + 1
+        )
+        return ok, f"rational delta={rat.delta} elliptic delta={ell.delta}"
+
+    yield f"monomial-elliptic-n{n}", "elliptic-monomial-family", family
+    yield (f"monomial-elliptic-kernel-n{n}", "elliptic-monomial-kernel", lambda: table_vs_kernel(
+        curves.MONOMIAL_ELLIPTIC, curves.elliptic_monomial_table(n)))
+    yield (f"monomial-rational-kernel-n{n}", "rational-monomial-kernel", lambda: table_vs_kernel(
+        curves.MONOMIAL_RATIONAL, curves.rational_monomial_table(n)))
+    yield f"nonrational-lines-n{n}", "nonrational-lines", nonrational
+    yield f"semigroup-invariants-n{n}", "semigroup-delta", semigroups
+
+
+def _suite_axes(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def axes():
+        r = versal.axes_family_report(n)
+        return r.ok, (
+            f"parameters={r.parameter_count} t1={r.t1_dimension} "
+            f"fiber={r.zero_fiber_ok} aux-index={r.k_independence_ok}"
+        )
+
+    def wedge():
+        # n coordinate axes plus the all-ones line, cusp straightened
+        # into a generic target direction
+        c = rng.randint(2, 9) if rng is not None else 2
+        axes_dirs = [
+            tuple(Fraction(1 if m == i else 0) for m in range(1, n + 1))
+            for i in range(1, n + 1)
+        ]
+        ones = tuple(Fraction(1) for _ in range(n))
+        target = tuple(Fraction(c) ** k for k in range(n))
+        dw = versal.wedge_a2_deformation(axes_dirs + [ones, target], n)
+        return dw.ok, (
+            f"r={dw.r} rank={dw.rank} target c={c} "
+            f"lines-fixed={dw.lines_fixed_ok} straightened={dw.straightened_ok}"
+        )
+
+    yield f"axes-family-n{n}", "axes-family", axes
+    yield f"wedge-straightening-n{n}", "wedge-straightening", wedge
 
 
 _SYZYGY_EXPECT = {4: {3: 5, 4: 5}, 5: {3: 16, 4: 9}}
 
 
-def _suite_counts(lo: int, hi: int, budget: Budget, rng=None) -> List[Check]:
-    checks: List[Check] = []
-    for n in range(lo, hi + 1):
-        def gens(n=n):
-            ideal = curves.lines_ideal(n, curves.F_FORM)
-            expect = curves.minimal_generator_formula(n)
-            count = len(ideal.generators)
-            rank = versal.span_rank(ideal.generators)
-            eliminated = eliminate(
-                curves.lines_ideal(n, curves.G_FORM), ["y"], budget
-            )
-            generates = ideal_equal(eliminated, ideal, budget=budget)
-            ok = count == expect and rank == expect and generates
-            return ok, (
-                f"{count} generators of rank {rank}, expected {expect}; "
-                f"generate the eliminated ideal: {generates}"
-            )
+def _suite_counts(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
+    def gens():
+        ideal = curves.lines_ideal(n, curves.F_FORM)
+        expect = curves.minimal_generator_formula(n)
+        count = len(ideal.generators)
+        rank = versal.span_rank(ideal.generators)
+        eliminated = eliminate(
+            curves.lines_ideal(n, curves.G_FORM), ["y"], budget
+        )
+        generates = ideal_equal(eliminated, ideal, budget=budget)
+        ok = count == expect and rank == expect and generates
+        return ok, (
+            f"{count} generators of rank {rank}, expected {expect}; "
+            f"generate the eliminated ideal: {generates}"
+        )
 
-        def rel_rank(n=n):
-            fam = curves.relations(n)
-            return (
-                fam.rank == fam.expected_rank,
-                f"rank {fam.rank}, expected {fam.expected_rank}",
-            )
+    def rel_rank():
+        fam = curves.relations(n)
+        return (
+            fam.rank == fam.expected_rank,
+            f"rank {fam.rank}, expected {fam.expected_rank}",
+        )
 
-        _run(checks, f"generator-count-n{n}", "generator-count", gens)
-        _run(checks, f"relation-rank-n{n}", "relation-rank", rel_rank)
+    yield f"generator-count-n{n}", "generator-count", gens
+    yield f"relation-rank-n{n}", "relation-rank", rel_rank
 
-        if n in _SYZYGY_EXPECT:
-            def syz(n=n):
-                mod = syzygies(curves.lines_ideal(n), budget=budget)
-                expect = _SYZYGY_EXPECT[n]
-                got = dict(mod.minimal_by_degree)
-                ok = got == expect and mod.minimal_count == sum(expect.values())
-                return ok, f"minimal syzygies by degree {got}, expected {expect}"
+    if n in _SYZYGY_EXPECT:
+        def syz():
+            mod = syzygies(curves.lines_ideal(n), budget=budget)
+            expect = _SYZYGY_EXPECT[n]
+            got = dict(mod.minimal_by_degree)
+            ok = got == expect and mod.minimal_count == sum(expect.values())
+            return ok, f"minimal syzygies by degree {got}, expected {expect}"
 
-            _run(checks, f"syzygy-count-n{n}", "syzygy-count", syz)
+        yield f"syzygy-count-n{n}", "syzygy-count", syz
 
-        if n == 4:
-            def nice(n=n):
-                r = versal.nice_total_space_check(budget)
-                return r.ok, f"differences={r.differences_ok} elimination={r.elimination_ok}"
+    if n == 4:
+        def nice():
+            r = versal.nice_total_space_check(budget)
+            return r.ok, f"differences={r.differences_ok} elimination={r.elimination_ok}"
 
-            _run(checks, "nice-presentation-n4", "nice-presentation", nice)
-    return checks
+        yield "nice-presentation-n4", "nice-presentation", nice
 
 
 SUITES = {
@@ -420,7 +392,10 @@ def run_suite(
     if lo < 4 or hi < lo:
         raise ValueError(f"need 4 <= lo <= hi, got ({lo}, {hi})")
     rng = random.Random(seed) if seed is not None else None
-    checks = SUITES[name](lo, hi, budget, rng)
+    checks: List[Check] = []
+    for n in range(lo, hi + 1):
+        for cid, anchor, fn in SUITES[name](n, budget, rng):
+            _run(checks, cid, anchor, fn)
     return Report(
         suite=name,
         n_range=(lo, hi),

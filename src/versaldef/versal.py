@@ -708,7 +708,7 @@ def verify_flatness(n: int, budget: Budget = DEFAULT_BUDGET) -> FlatnessReport:
     if n < 4:
         raise ValueError("need n >= 4")
     vreg = versal_registry(n)
-    gbx = None if n == 4 else _mixed_base_gb(n, budget)
+    gbx = _mixed_base_gb(n, budget)
 
     def fgen(a: int, b: int, c: int) -> Polynomial:
         return family_generator(a, b, c, n)
@@ -724,7 +724,7 @@ def verify_flatness(n: int, budget: Budget = DEFAULT_BUDGET) -> FlatnessReport:
             + _av(vreg, k, j) * fgen(i, k, j)
             - _av(vreg, k, l) * fgen(i, k, l)
         )
-        residual = comb if gbx is None else normal_form(comb, gbx, budget)
+        residual = normal_form(comb, gbx, budget)
         ok = residual.is_zero()
         all_ok = all_ok and ok
         certs.append(LiftCertificate((i, k, j, l), comb, residual, ok))

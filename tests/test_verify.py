@@ -131,6 +131,19 @@ def test_seeded_run_is_deterministic_and_samples_extra_point():
     assert rep1.engine["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda table: table[:-1], lambda table: [table[0] ** 2] + table[1:]],
+    ids=["last-generator-lost", "first-generator-squared"],
+)
+def test_elliptic_kernel_check_catches_a_broken_table(monkeypatch, mutate):
+    real = curves.elliptic_monomial_table
+    monkeypatch.setattr(curves, "elliptic_monomial_table", lambda n: mutate(real(n)))
+    rep = run_suite("monomial", (4, 4))
+    by_id = {c.id: c.status for c in rep.checks}
+    assert by_id["monomial-elliptic-kernel-n4"] == FAIL
+
+
 def test_unseeded_runs_are_byte_identical():
     rep1 = run_suite("identities", (4, 4))
     rep2 = run_suite("identities", (4, 4))
@@ -152,11 +165,29 @@ CANONICAL_SHA256 = {
     "t1t2": "71b6800aa45eef2cfdfffa3f2946e4ad086981c56e27097d89a6ea411bf3e1da",
 }
 
+# the same for runs the default ranges do not reach: several n (so the
+# per-n branches of a suite meet) and seeded draws carried across n
+PINNED_RUNS = {
+    ("base-geometry", (5, 6), None): "c24b19747b3f8cac235559117648800b4c3b46283e9ce6dd3106097ca63e66c6",
+    ("induction", (4, 6), None): "3aec5c5018cfd6be1906e2c96a45a405a98ec947d0eafa978afe99bf06a04cbd",
+    ("counts", (4, 5), None): "449283641fd0426030b53d94e09a064201402a0d3d98334be558040114c9f45f",
+    ("monomial", (4, 5), 3): "f3666afc63c5a08dfb5ca35c50aa2530532c99d3c0459f7e89d7eb224fcf7c3e",
+    ("axes", (4, 5), 3): "3d323c9fa9ce72507c62fd1f6842a3f2f337c62b85971dbeb4a5bfce743f54db",
+}
 
-@pytest.mark.parametrize("suite", sorted(CANONICAL_SHA256))
-def test_canonical_report_is_pinned(suite):
-    text = run_suite(suite).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[suite]
+_PINNED_CASES = [
+    pytest.param(s, None, None, digest, id=s) for s, digest in sorted(CANONICAL_SHA256.items())
+] + [
+    pytest.param(s, (lo, hi), seed, digest,
+                 id=f"{s}-n{lo}-{hi}" + ("" if seed is None else f"-seed{seed}"))
+    for (s, (lo, hi), seed), digest in sorted(PINNED_RUNS.items(), key=str)
+]
+
+
+@pytest.mark.parametrize("suite,n_range,seed,digest", _PINNED_CASES)
+def test_canonical_report_is_pinned(suite, n_range, seed, digest):
+    text = run_suite(suite, n_range, seed=seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _record_buchberger(monkeypatch):
