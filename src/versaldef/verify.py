@@ -7,7 +7,8 @@ check through ``_run``, the one place a check runs.  Each check carries
 an anchor naming the claim in the claim registry (see CLAIMS.md); a
 failing check records its counterexample in the details and never
 aborts the rest of the suite.  A check that runs out of its Groebner
-budget is reported as skipped, not as failed.
+budget is reported as skipped, not as failed; a rank certificate whose
+bounds do not meet fails its check, with both bounds in the details.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _run(
         status = PASS if ok else FAIL
     except BudgetExceeded as e:
         status, details = SKIPPED_BUDGET, str(e)
+    except versal.CertificateError as e:
+        status, details = FAIL, str(e)
     ms = int((perf_counter() - t0) * 1000)
     checks.append(Check(id=cid, anchor=anchor, status=status, details=details, ms=ms))
 

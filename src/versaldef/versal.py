@@ -8,7 +8,11 @@ phi_ijk = a_ij*a_ik + a_ji*a_jk + a_ki*a_kj.  All verification here is
 exact: first-order deformations are solved as rational linear systems,
 flatness is certified by reducing each lifted relation to zero against
 a Groebner basis of the base ideal, and the explicit smoothings and
-monomial-curve families are checked generator by generator.
+monomial-curve families are checked generator by generator.  Every base
+quadric is built from its (triple, sign) pairs, a signed sum of phi_abc,
+and the ranks of the obstruction space and of the induction step are
+certified from those phi-coordinates by ``_phi_rank``, with no quadric
+eliminated.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .groebner import (
 )
 from .linalg import Span, SparseEliminator, in_kernel, solve
 from .poly import (
-    MONO_ONE, Mono, Polynomial, Scalar, VarRegistry, build_registry, mono_degree, mono_mul,
+    MONO_ONE, Mono, Polynomial, Scalar, VarRegistry, build_registry, mono_mul,
     parse, substitute,
 )
 
@@ -90,7 +94,7 @@ __all__ = [
     "family_expanded_failures",
     "family_k_change_failures",
     "span_rank",
-    "quadric_ideals_equal",
+    "CertificateError",
 ]
 
 DIAGONAL = "DIAGONAL"
@@ -154,14 +158,15 @@ Triple = Tuple[int, int, int]
 def _quadric_phi_terms(i: int, j: int, l: int, k: int, m: int) -> Tuple[Tuple[Triple, int], ...]:
     """The base quadric (i, j, l, k, m) as its (triple, sign) pairs,
     phi_ijk - phi_ilk - phi_ijm + phi_ilm.  ``_quadric`` sums them and the
-    T2 certificate reads them, so the polynomial and its phi-coordinates
-    cannot drift apart."""
+    rank certificates read them, so the polynomial and its
+    phi-coordinates cannot drift apart."""
     return (((i, j, k), 1), ((i, l, k), -1), ((i, j, m), -1), ((i, l, m), 1))
 
 
-def _quadric(reg: VarRegistry, i: int, j: int, l: int, k: int, m: int) -> Polynomial:
+def _phi_sum(reg: VarRegistry, phi_terms: Sequence[Tuple[Triple, int]]) -> Polynomial:
+    """The polynomial sum of sign * phi_t over the (triple, sign) pairs."""
     terms: Dict[Mono, int] = {}
-    for t, sign in _quadric_phi_terms(i, j, l, k, m):
+    for t, sign in phi_terms:
         for mono, c in _phi(reg, *t).terms.items():
             acc = terms.get(mono, 0) + sign * c
             if acc:
@@ -169,6 +174,10 @@ def _quadric(reg: VarRegistry, i: int, j: int, l: int, k: int, m: int) -> Polyno
             else:
                 del terms[mono]
     return Polynomial._raw(reg, terms)
+
+
+def _quadric(reg: VarRegistry, i: int, j: int, l: int, k: int, m: int) -> Polynomial:
+    return _phi_sum(reg, _quadric_phi_terms(i, j, l, k, m))
 
 
 def base_quadric(i: int, j: int, l: int, k: int, m: int, n: int) -> Polynomial:
@@ -237,36 +246,31 @@ def quadric_index_set(n: int) -> List[Tuple[int, int, int, int, int]]:
     return out
 
 
+def _minimal_phi_terms(n: int) -> List[Tuple[Tuple[Triple, int], ...]]:
+    """The (triple, sign) pairs of each quadric of the minimal system, in
+    the order of ``minimal_base_quadrics``."""
+    pairs = [p for p in itertools.combinations(range(3, n + 1), 2) if p != (3, 4)]
+    out = [
+        (((a, i, j), 1), ((1, 2, i), -1), ((1, 2, j), -1), ((a, 3, 4), -1),
+         ((1, 2, 3), 1), ((1, 2, 4), 1))
+        for a in (1, 2) for i, j in pairs
+    ]
+    out.extend(
+        (((i, j, k), 1), ((1, 2, i), -1), ((1, 2, j), -1), ((1, 2, k), -1),
+         ((1, 3, 4), -1), ((2, 3, 4), -1), ((1, 2, 3), 2), ((1, 2, 4), 2))
+        for i, j, k in itertools.combinations(range(3, n + 1), 3)
+    )
+    return out
+
+
 def minimal_base_quadrics(n: int) -> List[Polynomial]:
     """The binom(n,3) - n quadrics expressing all remaining phi_ijk
     through the n distinguished ones (the four with indices inside
     {1,2,3,4} and phi_12k for k >= 5)."""
     if n < 4:
         raise ValueError("need n >= 4")
-    if n == 4:
-        return []
     reg = base_registry(n)
-
-    def p(i: int, j: int, k: int) -> Polynomial:
-        return _phi(reg, i, j, k)
-
-    gens = []
-    for i, j in itertools.combinations(range(3, n + 1), 2):
-        if (i, j) == (3, 4):
-            continue
-        gens.append(p(1, i, j) - p(1, 2, i) - p(1, 2, j) - p(1, 3, 4) + p(1, 2, 3) + p(1, 2, 4))
-    for i, j in itertools.combinations(range(3, n + 1), 2):
-        if (i, j) == (3, 4):
-            continue
-        gens.append(p(2, i, j) - p(1, 2, i) - p(1, 2, j) - p(2, 3, 4) + p(1, 2, 3) + p(1, 2, 4))
-    for i, j, k in itertools.combinations(range(3, n + 1), 3):
-        gens.append(
-            p(i, j, k)
-            - p(1, 2, i) - p(1, 2, j) - p(1, 2, k)
-            - p(1, 3, 4) - p(2, 3, 4)
-            + 2 * p(1, 2, 3) + 2 * p(1, 2, 4)
-        )
-    return gens
+    return [_phi_sum(reg, q) for q in _minimal_phi_terms(n)]
 
 
 def base_ideal(n: int, minimal: bool = False) -> Ideal:
@@ -284,50 +288,31 @@ def span_rank(polys: Sequence[Polynomial]) -> int:
     return Span().add(p.terms for p in polys)
 
 
-def quadric_ideals_equal(V: Sequence[Polynomial], W: Sequence[Polynomial]) -> bool:
-    """Whether the quadrics V and W generate the same ideal.  The degree-2
-    part of an ideal generated by quadrics is their span, so this holds
-    exactly when rank V = rank W = rank(V + W): no Groebner basis is
-    needed.  False means "not certified", the answer also when an input
-    is zero or not a homogeneous quadric."""
-    span = Span()
-    span.add(p.terms for p in V)
-    return _same_quadric_ideal(span, V, W)
-
-
-def _same_quadric_ideal(
-    span: Span, V: Sequence[Polynomial], W: Sequence[Polynomial]
-) -> bool:
-    """``quadric_ideals_equal`` given a ``span`` that holds exactly V; the
-    span is grown to V + W, so V is eliminated only once."""
-    quadrics = all(p and all(mono_degree(m) == 2 for m in p.terms) for p in (*V, *W))
-    return quadrics and span.elim.rank == span_rank(W) == span.add(p.terms for p in W)
-
-
 def _phi_independent(n: int) -> bool:
     """Whether phi of every ordering of a triple is phi of the sorted
-    triple and the C(n,3) phi_abc are linearly independent polynomials.
-    Then the map e_abc -> phi_abc is injective, and a rank taken in
-    phi-coordinates keyed by sorted triples is the rank of the
-    polynomials."""
+    triple and the C(n,3) phi_abc are nonzero with pairwise disjoint
+    supports, hence linearly independent.  Then the map e_abc -> phi_abc
+    is injective, and a rank taken in phi-coordinates keyed by sorted
+    triples is the rank of the polynomials."""
     reg = base_registry(n)
-    triples = list(itertools.combinations(range(1, n + 1), 3))
-    return not phi_symmetry_failures(n) and Span().add(
-        _phi(reg, *t).terms for t in triples
-    ) == len(triples)
+    supports = [_phi(reg, *t).terms for t in itertools.combinations(range(1, n + 1), 3)]
+    disjoint = len({m for s in supports for m in s}) == sum(map(len, supports))
+    return not phi_symmetry_failures(n) and all(supports) and disjoint
+
+
+def _phi_vector(phi_terms: Sequence[Tuple[Triple, int]]) -> Dict[Triple, int]:
+    """A quadric given by its (triple, sign) pairs as a vector over the
+    phi_abc, keyed by the sorted triple a < b < c."""
+    vec: Dict[Triple, int] = {}
+    for t, sign in phi_terms:
+        key = tuple(sorted(t))
+        vec[key] = vec.get(key, 0) + sign
+    return {key: c for key, c in vec.items() if c}
 
 
 def _phi_coordinates(n: int) -> List[Dict[Triple, int]]:
-    """Each base quadric as a vector over the phi_abc, keyed by the
-    sorted triple a < b < c, read off ``_quadric_phi_terms``."""
-    vectors = []
-    for q in quadric_index_set(n):
-        vec: Dict[Triple, int] = {}
-        for t, sign in _quadric_phi_terms(*q):
-            key = tuple(sorted(t))
-            vec[key] = vec.get(key, 0) + sign
-        vectors.append({key: c for key, c in vec.items() if c})
-    return vectors
+    """Each base quadric as a vector over the phi_abc."""
+    return [_phi_vector(_quadric_phi_terms(*q)) for q in quadric_index_set(n)]
 
 
 def _t2_bounds(n: int, vectors: Sequence[Mapping[Triple, int]]) -> Tuple[int, int]:
@@ -357,24 +342,40 @@ def _t2_bounds(n: int, vectors: Sequence[Mapping[Triple, int]]) -> Tuple[int, in
     return len(leads), len(triples) - Span().add(annihilators)
 
 
+class CertificateError(ValueError):
+    """A rank read from phi-coordinates is not certified: the phi_abc
+    are not independent, or the two bounds on the rank do not meet."""
+
+
+def _phi_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
+    """The rank of the quadrics with these phi-coordinates, certified
+    without eliminating them: the phi_abc are independent
+    (``_phi_independent``) and the bounds of ``_t2_bounds`` meet.
+    CertificateError naming both bounds otherwise."""
+    if not _phi_independent(n):
+        raise CertificateError(
+            f"n={n}: the phi_abc are not independent, so phi-coordinates give no rank"
+        )
+    lower, upper = _t2_bounds(n, vectors)
+    if lower != upper:
+        raise CertificateError(
+            f"n={n}: {what} rank not certified, lower bound {lower}, upper bound {upper}"
+        )
+    return lower
+
+
 def t2_dimension(n: int) -> int:
     """Rank of the full base-quadric family inside the space of
     quadratic monomials (the obstruction-space dimension).
 
-    The rank is certified from the phi-coordinates of the quadrics, not
-    by eliminating them: the phi_abc are independent
-    (``_phi_independent``), the n incidence functionals vanish on every
-    quadric and are independent, and there are C(n,3) - n distinct leads
-    (``_t2_bounds``).  ValueError if the bounds do not meet.
+    The rank is certified from the phi-coordinates of the quadrics
+    (``_phi_rank``), not by eliminating them: the n incidence
+    functionals vanish on every quadric and are independent, and there
+    are C(n,3) - n distinct leads.
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    if not _phi_independent(n):
-        raise ValueError(f"n={n}: the phi_abc are not independent, so phi-coordinates give no rank")
-    lower, upper = _t2_bounds(n, _phi_coordinates(n))
-    if lower != upper:
-        raise ValueError(f"n={n}: T2 rank not certified, lower bound {lower}, upper bound {upper}")
-    return lower
+    return _phi_rank(n, _phi_coordinates(n), "T2")
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +754,14 @@ def base_equals_total(n: int) -> InductionReport:
     must reproduce base quadrics of level n; on top of the carried
     level n-1 base system they must contribute exactly n(n-3)/2 new
     independent quadrics, filling the whole obstruction space, and the
-    two systems together must generate the level n base ideal."""
+    two systems together must generate the level n base ideal.
+
+    Each substituted generator is checked literally against its base
+    quadric, so every system here is a signed sum of phi_abc and its
+    rank is read from phi-coordinates (``_phi_rank``); no quadric is
+    eliminated.  The degree-2 part of an ideal generated by quadrics is
+    their span, so V = carried + substituted generates the ideal of the
+    minimal system W exactly when rank V = rank W = rank(V + W)."""
     if n < 5:
         raise ValueError("need n >= 5")
     prev = n - 1
@@ -767,15 +775,17 @@ def base_equals_total(n: int) -> InductionReport:
         s = substitute(family_generator(i, j, l, prev), assign, target=breg)
         if s != _quadric(breg, i, j, l, n, k):
             mismatches.append((i, j, l, k))
-        substituted.append(s)
+        substituted.append(_phi_vector(_quadric_phi_terms(i, j, l, n, k)))
 
-    carried = [substitute(p, {}, target=breg) for p in minimal_base_quadrics(prev)]
-    span = Span()
-    carried_rank = span.add(p.terms for p in carried)
-    combined_rank = span.add(p.terms for p in substituted)
+    carried = [_phi_vector(q) for q in _minimal_phi_terms(prev)]
+    target = [_phi_vector(q) for q in _minimal_phi_terms(n)]
+    combined = carried + substituted
+    carried_rank = _phi_rank(prev, carried, "carried")
+    combined_rank = _phi_rank(n, combined, "combined")
     new_rank = combined_rank - carried_rank
     expected_new = n * (n - 3) // 2
-    eq = _same_quadric_ideal(span, substituted + carried, minimal_base_quadrics(n))
+    target_rank = _phi_rank(n, target, "target")
+    eq = combined_rank == target_rank == _phi_rank(n, combined + target, "combined and target")
     ok = (
         not mismatches
         and new_rank == expected_new
@@ -876,7 +886,8 @@ def pfaffian_check() -> PfaffianReport:
         consistent = consistent and p1 == p2
         pfaffians.append(p1)
     quadratic = all(p.total_degree() == 2 for p in pfaffians)
-    eq = quadric_ideals_equal(pfaffians, minimal_base_quadrics(5))
+    W = minimal_base_quadrics(5)
+    eq = quadratic and span_rank(pfaffians) == span_rank(W) == span_rank(pfaffians + W)
     return PfaffianReport(
         entries=tuple(sorted(_PFAFFIAN_UPPER.items())),
         pfaffians=tuple(pfaffians),

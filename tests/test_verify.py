@@ -109,6 +109,33 @@ def test_injected_failure_details_are_truncated(monkeypatch):
     assert "(+7 more)" in bad.details
 
 
+def test_uncertified_rank_fails_its_check_not_the_suite(monkeypatch, capsys):
+    """A phi-coordinate rank certificate whose bounds do not meet is a
+    FAIL naming both bounds; the other checks still run, and the CLI
+    exits 1 (a check failed), not 2 (a usage error)."""
+    from versaldef.cli import main
+
+    n = 7
+    bad = versal.quadric_index_set(n)[0]
+    original = versal._quadric_phi_terms
+
+    def flipped(*q):
+        (t, sign), *rest = original(*q)
+        return ((t, -sign), *rest) if q == bad else original(*q)
+
+    monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
+    rep = run_suite("t1t2", (n, n))
+    by_id = {c.id: c for c in rep.checks}
+    assert by_id[f"t2-dimension-n{n}"].status == FAIL
+    assert "lower bound 28, upper bound 31" in by_id[f"t2-dimension-n{n}"].details
+    assert [c.status for c in rep.checks if c.anchor != "t2-dimension"] == [PASS] * 3
+    induction = run_suite("induction", (n, n)).checks[0]
+    assert induction.status == FAIL
+    assert "T2 rank not certified, lower bound 28, upper bound 31" in induction.details
+    assert main(["verify", "t1t2", "--n", str(n), str(n)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_budget_exhaustion_reports_skip():
     tiny = Budget(max_pairs=1, max_terms=1)
     rep = run_suite("base-geometry", (5, 5), budget=tiny)

@@ -8,7 +8,6 @@ cannot pass silently."""
 
 import dataclasses
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ from test_verify import _record_buchberger
 from versaldef import versal
 from versaldef.curves import t2_formula
 from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
-from versaldef.poly import Polynomial, build_registry, parse, substitute
+from versaldef.poly import Polynomial, build_registry, mono_degree, parse, substitute
 from versaldef.versal import (
     AXIS_PARABOLA,
     DIAGONAL,
@@ -43,7 +42,6 @@ from versaldef.versal import (
     nice_total_space_check,
     pfaffian_check,
     phi,
-    quadric_ideals_equal,
     phi_symmetry_failures,
     quadric_index_set,
     quadric_symmetry_failures,
@@ -316,6 +314,40 @@ def test_induction_rejects_small_n():
         base_equals_total(4)
 
 
+def test_induction_catches_a_flipped_generator_term(monkeypatch):
+    n = 6
+    original = versal._family_gen
+
+    def flipped(m, i, j, l, k):
+        p = original(m, i, j, l, k)
+        if (i, j, l) != (1, 2, 3):
+            return p
+        mono = next(iter(p.terms))
+        return Polynomial(p.reg, {**p.terms, mono: -p.terms[mono]})
+
+    monkeypatch.setattr(versal, "_family_gen", flipped)
+    rep = base_equals_total(n)
+    assert not rep.substitution_matches
+    assert rep.mismatches == ((1, 2, 3, 4),)
+    assert not rep.ok
+
+
+@pytest.mark.parametrize("level,what", [(0, "target"), (1, "carried")])
+def test_induction_certificate_fails_on_a_dropped_minimal_quadric(monkeypatch, level, what):
+    """Dropping one quadric of the minimal system of level n - level
+    loses one lead, while no incidence functional stops vanishing."""
+    n = 7
+    original = versal._minimal_phi_terms
+    dropped = n - level
+    size = len(original(dropped))
+    monkeypatch.setattr(
+        versal, "_minimal_phi_terms", lambda m: original(m)[1:] if m == dropped else original(m)
+    )
+    match = f"n={dropped}: {what} rank not certified, lower bound {size - 1}, upper bound {size}"
+    with pytest.raises(versal.CertificateError, match=match):
+        base_equals_total(n)
+
+
 # ---------------------------------------------------------------------------
 # Pfaffian presentation of the degree-5 base
 
@@ -335,7 +367,7 @@ def test_pfaffian_presentation():
 
 def _induction_systems(n):
     """The substituted and the carried quadrics of the level-n
-    induction step, built as ``base_equals_total`` builds them."""
+    induction step, as polynomials of the level-n base ring."""
     breg = base_registry(n)
     assign = {f"z{m}": Polynomial.var(breg, f"a_{m}_{n}") for m in range(1, n)}
     substituted = [
@@ -346,6 +378,16 @@ def _induction_systems(n):
     return substituted, carried
 
 
+def quadric_ideals_equal(V, W):
+    """The span oracle: whether the quadrics V and W generate the same
+    ideal, decided by ranks over the monomials.  The degree-2 part of an
+    ideal generated by quadrics is their span, so this holds exactly
+    when rank V = rank W = rank(V + W).  False also when an input is
+    zero or not a homogeneous quadric."""
+    quadrics = all(p and all(mono_degree(m) == 2 for m in p.terms) for p in (*V, *W))
+    return quadrics and span_rank(V) == span_rank(W) == span_rank([*V, *W])
+
+
 def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
     versal._base_gb.cache_clear()
     calls = _record_buchberger(monkeypatch)
@@ -354,26 +396,42 @@ def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
     assert calls == []
 
 
-def test_induction_system_is_eliminated_once(monkeypatch):
-    """carried, then substituted, then the target twice (alone and on top
-    of the induction system): every other elimination of the same
-    quadrics is a repeat.  T2 eliminates no quadric, only the C(n,3)
-    phi_abc and the n incidence functionals."""
-    from versaldef.linalg import SparseEliminator
+def test_induction_eliminates_no_quadric(monkeypatch):
+    """Every row eliminated during the induction step is an incidence
+    functional keyed by sorted triples: n - 1 for the carried rank and n
+    for each of the combined, target, combined-and-target and T2 ranks.
+    No quadric and no phi_abc is eliminated over the monomials."""
+    from versaldef.linalg import Span, SparseEliminator
 
-    rows = []
-    add = SparseEliminator.add
+    n = 6
+    keyed, rows = [], []
+    columns, add = Span.columns, SparseEliminator.add
+    monkeypatch.setattr(Span, "columns", lambda self, row: keyed.append(row) or columns(self, row))
     monkeypatch.setattr(
         SparseEliminator, "add", lambda self, row: rows.append(row) or add(self, row)
     )
-    report = base_equals_total(6)
+    report = base_equals_total(n)
     assert report.ok
-    substituted, carried = _induction_systems(6)
-    target = minimal_base_quadrics(6)
-    expected = len(carried) + len(substituted) + 2 * len(target) + math.comb(6, 3) + 6
-    assert len(rows) == expected
+    assert len(rows) == len(keyed) == (n - 1) + 4 * n
+    for row in keyed:
+        assert all(len(key) == 3 and list(key) == sorted(set(key)) for key in row), row
+        assert all(isinstance(t, int) for key in row for t in key), row
+        assert set(row.values()) == {1}
+    substituted, carried = _induction_systems(n)
     assert report.carried_rank == span_rank(carried)
     assert report.combined_rank == span_rank(carried + substituted)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_induction_matches_span_oracle(n):
+    substituted, carried = _induction_systems(n)
+    report = base_equals_total(n)
+    assert report.carried_rank == span_rank(carried)
+    assert report.combined_rank == span_rank(carried + substituted)
+    assert report.ideal_equal_ok == quadric_ideals_equal(
+        substituted + carried, minimal_base_quadrics(n)
+    )
+    assert report.ideal_equal_ok
 
 
 def _perturbed(p):
