@@ -27,7 +27,7 @@ from .groebner import (
     eliminate,
 )
 from .linalg import Span
-from .poly import Polynomial, VarRegistry, build_registry, mono_degree
+from .poly import Polynomial, VarRegistry, build_registry, mono_degree, sum_of_products
 
 __all__ = [
     "LINES_GENERIC",
@@ -224,11 +224,7 @@ def relations(n: int) -> RelationFamily:
     # exactness: each vector annihilates the generators
     gens = [line_generator(reg, i, j) for i, j in pairs]
     for vec in vectors:
-        acc = Polynomial.zero(reg)
-        for v, g in zip(vec, gens):
-            if v:
-                acc = acc + v * g
-        if acc:
+        if sum_of_products(reg, ((1, v, g) for v, g in zip(vec, gens))):
             raise AssertionError("relation family vector is not a syzygy")
 
     return RelationFamily(

@@ -47,6 +47,7 @@ from .poly import (
     mono_degree,
     mono_lcm,
     mono_mul,
+    sum_of_products,
     weighted_degree,
 )
 
@@ -720,10 +721,7 @@ def syzygies(ideal: Ideal, budget: Budget = DEFAULT_BUDGET) -> SyzygyModule:
     vectors = []
     seen = set()
     for vec in raw_vectors:
-        total = Polynomial.zero(reg)
-        for v, g in zip(vec, gens):
-            total = total + v * g
-        if total:
+        if sum_of_products(reg, ((1, v, g) for v, g in zip(vec, gens))):
             raise AssertionError("recorded syzygy does not annihilate the generators")
         d = None
         for v, gd in zip(vec, gen_degrees):

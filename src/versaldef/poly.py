@@ -23,6 +23,12 @@ Registries with independent ordered-pair variables store ``a_i_j`` and
 
 Monomials are kept sparse: a monomial is a tuple of (variable position,
 exponent) pairs, sorted by position, with no zero exponents stored.
+
+Every product goes through one multiply-accumulate kernel,
+:func:`sum_of_products`, which expands a sum c1*p1*q1 + c2*p2*q2 + ...
+into a single term dict without building any intermediate polynomial;
+``p * q`` is its one-product case, and :func:`substitute` sums its
+expanded terms with one call.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Var",
@@ -43,6 +49,7 @@ __all__ = [
     "build_registry",
     "parse",
     "substitute",
+    "sum_of_products",
     "weighted_degree",
     "mono_mul",
     "mono_lcm",
@@ -415,28 +422,7 @@ class Polynomial:
             return Polynomial._raw(
                 self.reg, {m: _exact(k * c) for m, k in self.terms.items()}
             )
-        self._check(other)
-        out: dict = {}
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        for ms, cs in small.items():
-            for mb, cb in big.items():
-                m = mono_mul(ms, mb)
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = cs * cb
-                else:
-                    acc = acc + cs * cb
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
-        for m, c in out.items():
-            if type(c) is not int:  # a product with a Fraction may be integral
-                out[m] = _exact(c)
-        return Polynomial._raw(self.reg, out)
+        return sum_of_products(self.reg, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -469,6 +455,36 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({to_str(self)})"
+
+
+def sum_of_products(
+    reg: VarRegistry, products: Iterable[Tuple[Scalar, Polynomial, Polynomial]]
+) -> Polynomial:
+    """The sum of c*p*q over the (c, p, q) triples, every factor over
+    ``reg``, expanded into one term dict: no intermediate product or
+    partial sum is built.  This is the one multiplication loop of the
+    package; ``Polynomial.__mul__`` is the one-product case."""
+    out: dict = {}
+    for c, p, q in products:
+        for f in (p, q):
+            if f.reg is not reg and f.reg != reg:
+                raise ValueError("polynomials live over different registries")
+        if not c:  # else a new monomial gets acc == 0, and del raises KeyError
+            continue
+        small, big = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
+        for ms, cs in small.terms.items():
+            cs = c * cs
+            for mb, cb in big.terms.items():
+                m = mono_mul(ms, mb)
+                acc = out.get(m, 0) + cs * cb
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    for m, c in out.items():
+        if type(c) is not int:  # a product with a Fraction may be integral
+            out[m] = _exact(c)
+    return Polynomial._raw(reg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -529,31 +545,19 @@ def substitute(
             raise ValueError(f"variable {name!r} assigned twice")
         values[pos] = q if sign == 1 else -q
 
-    images: dict = {}
-
-    def image(pos: int) -> Polynomial:
-        got = images.get(pos)
-        if got is None:
-            if pos in values:
-                got = values[pos]
-            else:
-                got = Polynomial.var(target, p.reg.vars[pos].name)
-            images[pos] = got
-        return got
-
-    acc = Polynomial.zero(target)
-    power_cache: dict = {}
+    one = Polynomial.const(target, 1)
+    powers: dict = {}
+    products = []
     for m, c in p.terms.items():
-        term = Polynomial.const(target, c)
+        term = one
         for v, e in m:
-            key = (v, e)
-            pw = power_cache.get(key)
+            pw = powers.get((v, e))
             if pw is None:
-                pw = image(v) ** e
-                power_cache[key] = pw
+                base = values[v] if v in values else Polynomial.var(target, p.reg.vars[v].name)
+                pw = powers[v, e] = base ** e
             term = term * pw
-        acc = acc + term
-    return acc
+        products.append((c, term, one))
+    return sum_of_products(target, products)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ a Groebner basis of the base ideal, and the explicit smoothings and
 monomial-curve families are checked generator by generator.  Every base
 quadric is built from its (triple, sign) pairs, a signed sum of phi_abc,
 and the ranks of the obstruction space and of the induction step are
-certified from those phi-coordinates by ``_phi_rank``, with no quadric
-eliminated.
+certified from those phi-coordinates (independent phi_abc, and rank
+bounds that meet), with no quadric eliminated.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .groebner import (
 from .linalg import Span, SparseEliminator, in_kernel, solve
 from .poly import (
     MONO_ONE, Mono, Polynomial, Scalar, VarRegistry, build_registry, mono_mul,
-    parse, substitute,
+    parse, substitute, sum_of_products,
 )
 
 __all__ = [
@@ -197,12 +197,12 @@ def canonical_fourth_index(i: int, j: int, l: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _family_gen(n: int, i: int, j: int, l: int, k: int) -> Polynomial:
     reg = versal_registry(n)
-    return (
-        (_zv(reg, i) - _av(reg, i, j)) * (_zv(reg, j) - _av(reg, j, i))
-        - (_av(reg, i, k) - _av(reg, i, j)) * (_av(reg, j, k) - _av(reg, j, i))
-        - (_zv(reg, i) - _av(reg, i, l)) * (_zv(reg, l) - _av(reg, l, i))
-        + (_av(reg, i, k) - _av(reg, i, l)) * (_av(reg, l, k) - _av(reg, l, i))
-    )
+    return sum_of_products(reg, (
+        (1, _zv(reg, i) - _av(reg, i, j), _zv(reg, j) - _av(reg, j, i)),
+        (-1, _av(reg, i, k) - _av(reg, i, j), _av(reg, j, k) - _av(reg, j, i)),
+        (-1, _zv(reg, i) - _av(reg, i, l), _zv(reg, l) - _av(reg, l, i)),
+        (1, _av(reg, i, k) - _av(reg, i, l), _av(reg, l, k) - _av(reg, l, i)),
+    ))
 
 
 def family_generator(i: int, j: int, l: int, n: int, k: Optional[int] = None) -> Polynomial:
@@ -347,21 +347,33 @@ class CertificateError(ValueError):
     are not independent, or the two bounds on the rank do not meet."""
 
 
-def _phi_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
-    """The rank of the quadrics with these phi-coordinates, certified
-    without eliminating them: the phi_abc are independent
-    (``_phi_independent``) and the bounds of ``_t2_bounds`` meet.
-    CertificateError naming both bounds otherwise."""
+def _require_phi_independent(n: int) -> None:
+    """CertificateError unless the phi_abc are independent
+    (``_phi_independent``), so that a rank in phi-coordinates is the
+    rank of the polynomials."""
     if not _phi_independent(n):
         raise CertificateError(
             f"n={n}: the phi_abc are not independent, so phi-coordinates give no rank"
         )
+
+
+def _bounded_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
+    """The rank of ``vectors`` when the bounds of ``_t2_bounds`` meet;
+    CertificateError naming both bounds otherwise."""
     lower, upper = _t2_bounds(n, vectors)
     if lower != upper:
         raise CertificateError(
             f"n={n}: {what} rank not certified, lower bound {lower}, upper bound {upper}"
         )
     return lower
+
+
+def _phi_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
+    """The rank of the quadrics with these phi-coordinates, certified
+    without eliminating them: the phi_abc are independent and the
+    bounds on the rank meet."""
+    _require_phi_independent(n)
+    return _bounded_rank(n, vectors, what)
 
 
 def t2_dimension(n: int) -> int:
@@ -396,13 +408,14 @@ def phi_symmetry_failures(n: int) -> List[tuple]:
 def quadric_symmetry_failures(n: int) -> List[tuple]:
     """Canonical tuples violating the antisymmetries in (j,l) and (k,m)
     or the symmetry under swapping the two pairs."""
+    reg = base_registry(n)
     fails = []
     for (i, j, l, k, m) in quadric_index_set(n):
-        q = base_quadric(i, j, l, k, m, n)
+        q = _quadric(reg, i, j, l, k, m)
         if (
-            base_quadric(i, l, j, k, m, n) != -q
-            or base_quadric(i, j, l, m, k, n) != -q
-            or base_quadric(i, k, m, j, l, n) != q
+            _quadric(reg, i, l, j, k, m) != -q
+            or _quadric(reg, i, j, l, m, k) != -q
+            or _quadric(reg, i, k, m, j, l) != q
         ):
             fails.append((i, j, l, k, m))
     return fails
@@ -419,12 +432,12 @@ def four_term_failures(n: int) -> List[tuple]:
     for j, l in itertools.combinations(pool, 2):
         rest = [x for x in pool if x not in (j, l)]
         for i, k, m in itertools.permutations(rest, 3):
-            expr = (
-                _quadric(reg, i, j, l, k, m)
-                - _quadric(reg, n, j, l, k, m)
-                - _quadric(reg, k, j, l, i, n)
-                + _quadric(reg, m, j, l, i, n)
-            )
+            expr = _phi_sum(reg, (
+                *_quadric_phi_terms(i, j, l, k, m),
+                *((t, -sign) for t, sign in _quadric_phi_terms(n, j, l, k, m)),
+                *((t, -sign) for t, sign in _quadric_phi_terms(k, j, l, i, n)),
+                *_quadric_phi_terms(m, j, l, i, n),
+            ))
             if not expr.is_zero():
                 fails.append((i, j, l, k, m))
     return fails
@@ -438,12 +451,16 @@ def cocycle_failures(n: int) -> List[tuple]:
     reg = base_registry(n)
     fails = []
     for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
-        expr = (
-            -_av(reg, i, j) * (_phi(reg, i, k, l) - _phi(reg, j, k, l))
-            + _av(reg, i, l) * (_phi(reg, i, j, k) - _phi(reg, j, l, k))
-            + _av(reg, k, j) * (_phi(reg, i, k, l) - _phi(reg, i, j, l))
-            - _av(reg, k, l) * (_phi(reg, i, j, k) - _phi(reg, i, j, l))
-        )
+        expr = sum_of_products(reg, (
+            (-1, _av(reg, i, j), _phi(reg, i, k, l)),
+            (1, _av(reg, i, j), _phi(reg, j, k, l)),
+            (1, _av(reg, i, l), _phi(reg, i, j, k)),
+            (-1, _av(reg, i, l), _phi(reg, j, l, k)),
+            (1, _av(reg, k, j), _phi(reg, i, k, l)),
+            (-1, _av(reg, k, j), _phi(reg, i, j, l)),
+            (-1, _av(reg, k, l), _phi(reg, i, j, k)),
+            (1, _av(reg, k, l), _phi(reg, i, j, l)),
+        ))
         if not expr.is_zero():
             fails.append((i, j, k, l))
     return fails
@@ -717,14 +734,14 @@ def verify_flatness(n: int, budget: Budget = DEFAULT_BUDGET) -> FlatnessReport:
     certs = []
     all_ok = True
     for (i, k, j, l) in _relation_quadruples(n):
-        comb = (
-            _zv(vreg, k) * fgen(i, j, l)
-            - _zv(vreg, i) * fgen(k, j, l)
-            - _av(vreg, i, j) * fgen(k, i, j)
-            + _av(vreg, i, l) * fgen(k, i, l)
-            + _av(vreg, k, j) * fgen(i, k, j)
-            - _av(vreg, k, l) * fgen(i, k, l)
-        )
+        comb = sum_of_products(vreg, (
+            (1, _zv(vreg, k), fgen(i, j, l)),
+            (-1, _zv(vreg, i), fgen(k, j, l)),
+            (-1, _av(vreg, i, j), fgen(k, i, j)),
+            (1, _av(vreg, i, l), fgen(k, i, l)),
+            (1, _av(vreg, k, j), fgen(i, k, j)),
+            (-1, _av(vreg, k, l), fgen(i, k, l)),
+        ))
         residual = normal_form(comb, gbx, budget)
         ok = residual.is_zero()
         all_ok = all_ok and ok
@@ -758,10 +775,12 @@ def base_equals_total(n: int) -> InductionReport:
 
     Each substituted generator is checked literally against its base
     quadric, so every system here is a signed sum of phi_abc and its
-    rank is read from phi-coordinates (``_phi_rank``); no quadric is
-    eliminated.  The degree-2 part of an ideal generated by quadrics is
-    their span, so V = carried + substituted generates the ideal of the
-    minimal system W exactly when rank V = rank W = rank(V + W)."""
+    rank is read from phi-coordinates: the phi_abc are required
+    independent once per level, and each rank is ``_bounded_rank``; no
+    quadric is eliminated.  The degree-2 part of an ideal generated by
+    quadrics is their span, so V = carried + substituted generates the
+    ideal of the minimal system W exactly when rank V = rank W =
+    rank(V + W)."""
     if n < 5:
         raise ValueError("need n >= 5")
     prev = n - 1
@@ -780,12 +799,14 @@ def base_equals_total(n: int) -> InductionReport:
     carried = [_phi_vector(q) for q in _minimal_phi_terms(prev)]
     target = [_phi_vector(q) for q in _minimal_phi_terms(n)]
     combined = carried + substituted
-    carried_rank = _phi_rank(prev, carried, "carried")
-    combined_rank = _phi_rank(n, combined, "combined")
+    _require_phi_independent(prev)
+    _require_phi_independent(n)
+    carried_rank = _bounded_rank(prev, carried, "carried")
+    combined_rank = _bounded_rank(n, combined, "combined")
     new_rank = combined_rank - carried_rank
     expected_new = n * (n - 3) // 2
-    target_rank = _phi_rank(n, target, "target")
-    eq = combined_rank == target_rank == _phi_rank(n, combined + target, "combined and target")
+    target_rank = _bounded_rank(n, target, "target")
+    eq = combined_rank == target_rank == _bounded_rank(n, combined + target, "combined and target")
     ok = (
         not mismatches
         and new_rank == expected_new
@@ -826,13 +847,10 @@ def _pf_expand(M: Mapping[tuple, Polynomial], idx: tuple, reg: VarRegistry) -> P
     """Pfaffian by expansion along the first remaining row."""
     if not idx:
         return Polynomial.const(reg, 1)
-    i0 = idx[0]
-    acc = Polynomial.zero(reg)
-    for t in range(1, len(idx)):
-        rest = idx[1:t] + idx[t + 1:]
-        term = M[(i0, idx[t])] * _pf_expand(M, rest, reg)
-        acc = acc + term if t % 2 == 1 else acc - term
-    return acc
+    return sum_of_products(reg, (
+        (1 if t % 2 else -1, M[(idx[0], idx[t])], _pf_expand(M, idx[1:t] + idx[t + 1:], reg))
+        for t in range(1, len(idx))
+    ))
 
 
 def _pf_matchings(M: Mapping[tuple, Polynomial], idx: tuple, reg: VarRegistry) -> Polynomial:

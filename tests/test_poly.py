@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from versaldef.poly import (
     NONHOMOGENEOUS,
@@ -15,6 +15,7 @@ from versaldef.poly import (
     build_registry,
     parse,
     substitute,
+    sum_of_products,
     to_str,
     weighted_degree,
 )
@@ -234,6 +235,52 @@ def test_arithmetic_matches_fraction_oracle(ra, rb, rc, k):
     for name, (got, want) in results.items():
         assert _as_oracle(got) == want, name
         _assert_exact(got)
+
+
+_Z1, _Z2 = ((REG.position("z1"), 1),), ((REG.position("z2"), 1),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(mixed_coeffs, raw_strategy, raw_strategy), max_size=4))
+@example([])
+@example([(0, {_Z1: 1}, {_Z2: 1}), (1, {_Z1: 1}, {_Z2: 1}), (-1, {_Z2: 1}, {_Z1: 1})])
+@example([(Fraction(1, 2), {_Z1: Fraction(1, 3)}, {_Z2: 3}),
+          (Fraction(3, 2), {_Z1: 1}, {_Z2: Fraction(1, 3)})])
+def test_sum_of_products_matches_fraction_oracle(raw_products):
+    got = sum_of_products(
+        REG, [(c, Polynomial(REG, ra), Polynomial(REG, rb)) for c, ra, rb in raw_products]
+    )
+    want = {}
+    for c, ra, rb in raw_products:
+        want = _o_add(want, _o_mul(_oracle({(): c}), _o_mul(_oracle(ra), _oracle(rb))))
+    assert _as_oracle(got) == want
+    _assert_exact(got)
+
+
+def test_sum_of_products_rejects_a_foreign_factor():
+    a = parse("z1 + 1", REG)
+    twin = parse("z2", build_registry(nz=3, y=True, npairs=3))  # equal registry
+    assert sum_of_products(REG, [(2, a, twin)]) == parse("2*z1*z2 + 2*z2", REG)
+    other = parse("z1", build_registry(nz=3))
+    for product in ((1, a, other), (1, other, a), (0, other, other)):
+        with pytest.raises(ValueError, match="different registries"):
+            sum_of_products(REG, [(1, a, a), product])
+
+
+def test_substitution_sums_its_terms_in_one_pass(monkeypatch):
+    p = parse("(z1 + z2 + z3 + 1)^2", REG)
+    assert len(p) >= 10
+    image, want = parse("z2 - 1", REG), parse("(2*z2 + z3)^2", REG)
+    sums = []
+    real = Polynomial._plus
+
+    def counting(self, other, negate):
+        sums.append(other)
+        return real(self, other, negate)
+
+    monkeypatch.setattr(Polynomial, "_plus", counting)
+    assert substitute(p, {"z1": image}) == want
+    assert sums == []
 
 
 def test_registry_hash_is_computed_once(monkeypatch):

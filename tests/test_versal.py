@@ -104,6 +104,61 @@ def test_cocycle_mutation_guard():
     assert not bad.is_zero()
 
 
+@pytest.fixture
+def fresh_caches():
+    """Clear every cache of ``versal`` before and after a guard, so that
+    nothing built before the patch hides it and nothing built under the
+    patch outlives it."""
+
+    def clear():
+        for obj in vars(versal).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == versal.__name__:
+                obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_cocycle_checker_catches_a_perturbed_phi(monkeypatch, fresh_caches):
+    original = versal._phi
+
+    def perturbed(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if (i, j, k) == (1, 2, 3) else p
+
+    monkeypatch.setattr(versal, "_phi", perturbed)
+    assert cocycle_failures(5)
+
+
+def test_quadric_checkers_catch_a_flipped_phi_sign(monkeypatch, fresh_caches):
+    original = versal._quadric_phi_terms
+
+    def flipped(*idx):
+        terms = original(*idx)
+        if idx != (1, 2, 3, 4, 5):
+            return terms
+        (t, sign), *rest = terms
+        return ((t, -sign), *rest)
+
+    monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
+    assert four_term_failures(6)
+    assert quadric_symmetry_failures(5)
+
+
+def test_family_checkers_catch_an_added_generator_term(monkeypatch, fresh_caches):
+    original = versal._family_gen
+
+    def shifted(n, i, j, l, k):
+        p = original(n, i, j, l, k)
+        return p + parse("z1^2", p.reg) if (i, j, l, k) == (1, 2, 3, 4) else p
+
+    monkeypatch.setattr(versal, "_family_gen", shifted)
+    assert family_expanded_failures(5)
+    assert family_k_change_failures(5)
+    assert not verify_flatness(5).ok
+
+
 def test_k_change_is_nontrivial():
     # the quadric the generator moves by is itself nonzero
     q = base_quadric(1, 2, 3, 4, 5, 5)
@@ -255,6 +310,22 @@ def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
     assert not versal._phi_independent(n)
     with pytest.raises(ValueError, match="not independent"):
         t2_dimension(n)
+    with pytest.raises(versal.CertificateError, match="not independent"):
+        base_equals_total(n)
+
+
+def test_induction_checks_phi_independence_once_per_level(monkeypatch):
+    """Once at n - 1 and once at n, plus once inside t2_dimension."""
+    calls = []
+    original = versal.phi_symmetry_failures
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(versal, "phi_symmetry_failures", counting)
+    assert base_equals_total(6).ok
+    assert sorted(calls) == [5, 6, 6]
 
 
 @pytest.mark.parametrize("n", [5, 6])
