@@ -420,6 +420,8 @@ def _apply_config(args) -> None:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(config).__name__}")
         unknown = set(config) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import (
     _relation_quadruples,
@@ -152,6 +152,18 @@ def phi(i: int, j: int, k: int, n: int) -> Polynomial:
     return _phi(base_registry(n), i, j, k)
 
 
+@lru_cache(maxsize=None)
+def _pair_gen(reg: VarRegistry, i: int, j: int, k: int) -> Polynomial:
+    """P_ij^k = (z_i - a_ij)(z_j - a_ji) - (a_ik - a_ij)(a_jk - a_ji).
+    Over ordered parameters it is the axes generator of the pair (i, j)
+    with auxiliary index k; over the antisymmetric ones (a_ji = -a_ij)
+    the family generator is P_ij^k - P_il^k."""
+    return sum_of_products(reg, (
+        (1, _zv(reg, i) - _av(reg, i, j), _zv(reg, j) - _av(reg, j, i)),
+        (-1, _av(reg, i, k) - _av(reg, i, j), _av(reg, j, k) - _av(reg, j, i)),
+    ))
+
+
 Triple = Tuple[int, int, int]
 
 
@@ -197,12 +209,7 @@ def canonical_fourth_index(i: int, j: int, l: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _family_gen(n: int, i: int, j: int, l: int, k: int) -> Polynomial:
     reg = versal_registry(n)
-    return sum_of_products(reg, (
-        (1, _zv(reg, i) - _av(reg, i, j), _zv(reg, j) - _av(reg, j, i)),
-        (-1, _av(reg, i, k) - _av(reg, i, j), _av(reg, j, k) - _av(reg, j, i)),
-        (-1, _zv(reg, i) - _av(reg, i, l), _zv(reg, l) - _av(reg, l, i)),
-        (1, _av(reg, i, k) - _av(reg, i, l), _av(reg, l, k) - _av(reg, l, i)),
-    ))
+    return _pair_gen(reg, i, j, k) - _pair_gen(reg, i, l, k)
 
 
 def family_generator(i: int, j: int, l: int, n: int, k: Optional[int] = None) -> Polynomial:
@@ -310,14 +317,14 @@ def _phi_vector(phi_terms: Sequence[Tuple[Triple, int]]) -> Dict[Triple, int]:
     return {key: c for key, c in vec.items() if c}
 
 
-def _phi_coordinates(n: int) -> List[Dict[Triple, int]]:
-    """Each base quadric as a vector over the phi_abc."""
-    return [_phi_vector(_quadric_phi_terms(*q)) for q in quadric_index_set(n)]
+def _phi_coordinates(n: int) -> Iterator[Dict[Triple, int]]:
+    """Each base quadric as a vector over the phi_abc, one at a time."""
+    return (_phi_vector(_quadric_phi_terms(*q)) for q in quadric_index_set(n))
 
 
-def _t2_bounds(n: int, vectors: Sequence[Mapping[Triple, int]]) -> Tuple[int, int]:
+def _t2_bounds(n: int, vectors: Iterable[Mapping[Triple, int]]) -> Tuple[int, int]:
     """Lower and upper bounds on the rank of ``vectors``, given over the
-    C(n,3) sorted triples.
+    C(n,3) sorted triples and read in one pass.
 
     Upper: the incidence functionals f_t(e_abc) = [t in {a, b, c}] that
     vanish on every vector annihilate their span, so the rank is at most
@@ -357,7 +364,7 @@ def _require_phi_independent(n: int) -> None:
         )
 
 
-def _bounded_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
+def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
     """The rank of ``vectors`` when the bounds of ``_t2_bounds`` meet;
     CertificateError naming both bounds otherwise."""
     lower, upper = _t2_bounds(n, vectors)
@@ -368,7 +375,7 @@ def _bounded_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) ->
     return lower
 
 
-def _phi_rank(n: int, vectors: Sequence[Mapping[Triple, int]], what: str) -> int:
+def _phi_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
     """The rank of the quadrics with these phi-coordinates, certified
     without eliminating them: the phi_abc are independent and the
     bounds on the rank meet."""
@@ -939,12 +946,16 @@ class SmoothingReport:
 def smoothing_family(variant: str, n: int) -> Tuple[DeformationFamily, SmoothingReport]:
     """The two explicit one-parameter partial smoothings: merging the
     last two lines into a hyperbola (DIAGONAL), or merging the last
-    axis with the parabola branch into a conic (AXIS_PARABOLA).  Every
-    claimed branch is certified by substitution.  For the implicit
-    branches the substitution leaves the branch equation itself: each
-    nonzero residual generator is literally the hyperbola or the conic,
-    so the residual ideal is the principal ideal of the branch with no
-    Groebner basis needed."""
+    axis with the parabola branch into a conic (AXIS_PARABOLA).
+
+    Each variant supplies only its data: the total space, its explicit
+    branches as points over (t, s), its implicit branch as an
+    assignment with the curve it leaves, and one check of its own.  One
+    path then checks the fiber at t = 0 and certifies every branch by
+    substitution.  For the implicit branch the substitution leaves the
+    branch equation itself: each nonzero residual generator is literally
+    the hyperbola or the conic, so the residual ideal is the principal
+    ideal of the branch with no Groebner basis needed."""
     if n < 4:
         raise ValueError("need n >= 4")
     if variant not in (DIAGONAL, AXIS_PARABOLA):
@@ -959,55 +970,31 @@ def smoothing_family(variant: str, n: int) -> Tuple[DeformationFamily, Smoothing
     ts_t = Polynomial.var(ts, "t")
     ts_s = Polynomial.var(ts, "s")
     ts_zero = Polynomial.zero(ts)
-    checks: List[SmoothingCheck] = []
 
-    def all_vanish(gens: Sequence[Polynomial], assign: Mapping[str, Polynomial]) -> bool:
-        return all(substitute(g, assign, target=ts).is_zero() for g in gens)
+    def point(z: Mapping[int, Polynomial], y: Polynomial) -> Dict[str, Polynomial]:
+        """The assignment z_m -> z[m] (zero if absent), y -> y over (t, s)."""
+        return {**{f"z{m}": z.get(m, ts_zero) for m in range(1, n + 1)}, "y": y}
 
     if variant == DIAGONAL:
-        total = []
-        for (i, j) in pairs:
-            g = _zv(reg, i) * _zv(reg, j) - yv
-            if (i, j) == (n - 1, n):
-                g = g + tv * (_zv(reg, n - 1) - _zv(reg, n))
-            total.append(g)
-
-        lreg = lines_registry(n)
-        lzero = Polynomial.zero(lreg)
-        fiber = [substitute(g, {"t": lzero, "s": lzero}, target=lreg) for g in total]
-        expected_fiber = [line_generator(lreg, i, j) for (i, j) in pairs]
-        checks.append(SmoothingCheck("fiber-at-zero", fiber == expected_fiber))
-
-        for i in range(1, n - 1):
-            assign = {f"z{m}": ts_zero for m in range(1, n + 1) if m != i}
-            assign[f"z{i}"] = ts_s
-            assign["y"] = ts_zero
-            checks.append(SmoothingCheck(f"axis-branch-z{i}", all_vanish(total, assign)))
-
-        assign = {f"z{m}": ts_s for m in range(1, n + 1)}
-        assign["y"] = ts_s * ts_s
-        checks.append(SmoothingCheck("parabola-branch", all_vanish(total, assign)))
-
+        total = [_zv(reg, i) * _zv(reg, j) - yv for (i, j) in pairs]
+        total[-1] = total[-1] + tv * (_zv(reg, n - 1) - _zv(reg, n))  # the pair (n-1, n)
+        explicit = [(f"axis-branch-z{i}", point({i: ts_s}, ts_zero)) for i in range(1, n - 1)]
+        explicit.append(
+            ("parabola-branch", point(dict.fromkeys(range(1, n + 1), ts_s), ts_s * ts_s))
+        )
         rzero = Polynomial.zero(reg)
-        hassign = {f"z{m}": rzero for m in range(1, n - 1)}
-        hassign["y"] = rzero
-        residual = [substitute(g, hassign, target=reg) for g in total]
-        residual = [r for r in residual if not r.is_zero()]
-        hyper = _zv(reg, n - 1) * _zv(reg, n) + tv * (_zv(reg, n - 1) - _zv(reg, n))
-        hyp_ok = residual == [hyper]
-        checks.append(SmoothingCheck("hyperbola-branch", hyp_ok))
-
+        implicit = (
+            "hyperbola-branch",
+            {**{f"z{m}": rzero for m in range(1, n - 1)}, "y": rzero},
+            _zv(reg, n - 1) * _zv(reg, n) + tv * (_zv(reg, n - 1) - _zv(reg, n)),
+        )
         breg = base_registry(n)
-        pzero = Polynomial.zero(ts)
-        passign = {nm: pzero for nm in breg.names}
+        passign = {nm: ts_zero for nm in breg.names}
         passign[f"a_{n-1}_{n}"] = ts_t
-        phi_ok = all(
+        extra = SmoothingCheck("parameter-point-kills-phi", all(
             substitute(_phi(breg, i, j, k), passign, target=ts).is_zero()
             for i, j, k in itertools.combinations(range(1, n + 1), 3)
-        )
-        checks.append(SmoothingCheck("parameter-point-kills-phi", phi_ok))
-        branch_count = n
-
+        ))
     else:  # AXIS_PARABOLA
         total = [
             (_zv(reg, i) - tv) * (_zv(reg, n) + tv) - yv for i in range(1, n)
@@ -1015,37 +1002,37 @@ def smoothing_family(variant: str, n: int) -> Tuple[DeformationFamily, Smoothing
             _zv(reg, i) * _zv(reg, j) - yv
             for i, j in itertools.combinations(range(1, n), 2)
         ]
-
-        lreg = lines_registry(n)
-        lzero = Polynomial.zero(lreg)
-        fiber = sorted(
-            str(substitute(g, {"t": lzero, "s": lzero}, target=lreg)) for g in total
+        explicit = [
+            (f"line-branch-z{i}", point({i: ts_s, n: -ts_t}, ts_zero)) for i in range(1, n)
+        ]
+        implicit = (
+            "conic-branch",
+            {**{f"z{m}": sv for m in range(1, n)}, "y": sv * sv},
+            (sv - tv) * (_zv(reg, n) + tv) - sv * sv,
         )
-        expected_fiber = sorted(str(line_generator(lreg, i, j)) for (i, j) in pairs)
-        checks.append(SmoothingCheck("fiber-at-zero", fiber == expected_fiber))
-
-        factor_ok = all(
-            total[i - 1] - total[j - 1]
-            == (_zv(reg, i) - _zv(reg, j)) * (_zv(reg, n) + tv)
+        extra = SmoothingCheck("difference-factorization", all(
+            total[i - 1] - total[j - 1] == (_zv(reg, i) - _zv(reg, j)) * (_zv(reg, n) + tv)
             for i, j in itertools.combinations(range(1, n), 2)
-        )
-        checks.append(SmoothingCheck("difference-factorization", factor_ok))
+        ))
 
-        for i in range(1, n):
-            assign = {f"z{m}": ts_zero for m in range(1, n) if m != i}
-            assign[f"z{i}"] = ts_s
-            assign[f"z{n}"] = -ts_t
-            assign["y"] = ts_zero
-            checks.append(SmoothingCheck(f"line-branch-z{i}", all_vanish(total, assign)))
-
-        cassign = {f"z{m}": sv for m in range(1, n)}
-        cassign["y"] = sv * sv
-        residual = [substitute(g, cassign, target=reg) for g in total]
-        residual = [r for r in residual if not r.is_zero()]
-        conic = (sv - tv) * (_zv(reg, n) + tv) - sv * sv
-        conic_ok = bool(residual) and all(r == conic for r in residual)
-        checks.append(SmoothingCheck("conic-branch", conic_ok))
-        branch_count = n
+    lreg = lines_registry(n)
+    lzero = Polynomial.zero(lreg)
+    fiber = sorted(str(substitute(g, {"t": lzero, "s": lzero}, target=lreg)) for g in total)
+    expected_fiber = sorted(str(line_generator(lreg, i, j)) for (i, j) in pairs)
+    fiber_check = SmoothingCheck("fiber-at-zero", fiber == expected_fiber)
+    branches = [
+        SmoothingCheck(name, all(substitute(g, assign, target=ts).is_zero() for g in total))
+        for name, assign in explicit
+    ]
+    name, assign, curve = implicit
+    residual = [substitute(g, assign, target=reg) for g in total]
+    residual = [r for r in residual if not r.is_zero()]
+    branches.append(SmoothingCheck(name, bool(residual) and all(r == curve for r in residual)))
+    # the factorization explains the line branches, so it is reported before them
+    if variant == AXIS_PARABOLA:
+        checks = [fiber_check, extra, *branches]
+    else:
+        checks = [fiber_check, *branches, extra]
 
     family = DeformationFamily(
         n=n, total=tuple(total), base=Ideal(param_reg, []), parameters=param_reg
@@ -1053,7 +1040,7 @@ def smoothing_family(variant: str, n: int) -> Tuple[DeformationFamily, Smoothing
     report = SmoothingReport(
         kind=variant,
         n=n,
-        branch_count=branch_count,
+        branch_count=len(branches),
         checks=tuple(checks),
         ok=all(c.ok for c in checks),
     )
@@ -1193,11 +1180,6 @@ def _corner(reg: VarRegistry, i: int, j: int, k: int) -> Polynomial:
     return (_av(reg, i, k) - _av(reg, i, j)) * (_av(reg, j, k) - _av(reg, j, i))
 
 
-def _axes_gen(reg: VarRegistry, i: int, j: int, k: int) -> Polynomial:
-    """The axes generator for the pair (i, j) with auxiliary index k."""
-    return (_zv(reg, i) - _av(reg, i, j)) * (_zv(reg, j) - _av(reg, j, i)) - _corner(reg, i, j, k)
-
-
 def axes_versal_family(n: int) -> DeformationFamily:
     """Deformation of the n coordinate axes with independent ordered
     parameters a_ij (no antisymmetry): generators
@@ -1208,7 +1190,7 @@ def axes_versal_family(n: int) -> DeformationFamily:
         raise ValueError("need n >= 4")
     reg = build_registry(nz=n, npairs=n, ordered_pairs=True)
     param_reg = build_registry(npairs=n, ordered_pairs=True)
-    total = [_axes_gen(reg, i, j, comp[0]) for i, j, comp in _axes_pairs(n)]
+    total = [_pair_gen(reg, i, j, comp[0]) for i, j, comp in _axes_pairs(n)]
     base = [
         _corner(param_reg, i, j, k) - _corner(param_reg, i, j, l)
         for i, j, comp in _axes_pairs(n)
@@ -1246,7 +1228,7 @@ def axes_family_report(n: int) -> AxesFamilyReport:
 
     differences = []
     for i, j, comp in _axes_pairs(n):
-        gens = {k: _axes_gen(reg, i, j, k) for k in comp}
+        gens = {k: _pair_gen(reg, i, j, k) for k in comp}
         for k, l in itertools.combinations(comp, 2):
             differences.append(-substitute(gens[k] - gens[l], {}, target=param_reg))
     k_ok = differences == list(family.base.generators)

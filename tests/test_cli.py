@@ -258,6 +258,16 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("config", [[], ["format"], 5, "json"])
+def test_config_rejects_a_non_object(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), "emit", "curve", "L", "4")
+    assert code == 2
+    assert out == ""
+    assert "config file must hold a JSON object" in err
+
+
 @pytest.mark.parametrize("config", [{"spair_budget": "10"}, {"seed": "abc"}, {"out": 5}])
 def test_config_rejects_mistyped_values(capsys, tmp_path, config):
     cfg = tmp_path / "cfg.json"

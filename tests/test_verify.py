@@ -200,6 +200,8 @@ PINNED_RUNS = {
     ("counts", (4, 5), None): "449283641fd0426030b53d94e09a064201402a0d3d98334be558040114c9f45f",
     ("monomial", (4, 5), 3): "f3666afc63c5a08dfb5ca35c50aa2530532c99d3c0459f7e89d7eb224fcf7c3e",
     ("axes", (4, 5), 3): "3d323c9fa9ce72507c62fd1f6842a3f2f337c62b85971dbeb4a5bfce743f54db",
+    ("smoothings", (4, 9), None): "173b4636609bc17238093615a6a4cb7808d7b23d3f539904db1cd2e1925d07a5",
+    ("axes", (6, 7), None): "c6153317704699e6b771986092ec642a13138db52bc916d5b06ebbd090e74b8f",
 }
 
 _PINNED_CASES = [

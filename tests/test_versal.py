@@ -17,7 +17,9 @@ from test_verify import _record_buchberger
 from versaldef import versal
 from versaldef.curves import t2_formula
 from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
-from versaldef.poly import Polynomial, build_registry, mono_degree, parse, substitute
+from versaldef.poly import (
+    Polynomial, build_registry, mono_degree, parse, substitute, sum_of_products,
+)
 from versaldef.versal import (
     AXIS_PARABOLA,
     DIAGONAL,
@@ -159,6 +161,47 @@ def test_family_checkers_catch_an_added_generator_term(monkeypatch, fresh_caches
     assert not verify_flatness(5).ok
 
 
+def _four_product_family_gen(n, i, j, l, k):
+    """The family generator with all four of its products written out,
+    an oracle that shares no code with ``_pair_gen``."""
+    reg = versal.versal_registry(n)
+
+    def z(m):
+        return Polynomial.var(reg, f"z{m}")
+
+    def a(p, q):
+        return Polynomial.var(reg, f"a_{p}_{q}")
+
+    return sum_of_products(reg, (
+        (1, z(i) - a(i, j), z(j) - a(j, i)),
+        (-1, a(i, k) - a(i, j), a(j, k) - a(j, i)),
+        (-1, z(i) - a(i, l), z(l) - a(l, i)),
+        (1, a(i, k) - a(i, l), a(l, k) - a(l, i)),
+    ))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_family_generator_is_a_difference_of_pair_generators(n):
+    for i, j, l, k in itertools.permutations(range(1, n + 1), 4):
+        expected = _four_product_family_gen(n, i, j, l, k)
+        assert versal._family_gen(n, i, j, l, k) == expected, (i, j, l, k)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pair_generator_is_the_axes_generator(n):
+    reg = build_registry(nz=n, npairs=n, ordered_pairs=True)
+
+    def z(m):
+        return Polynomial.var(reg, f"z{m}")
+
+    def a(p, q):
+        return Polynomial.var(reg, f"a_{p}_{q}")
+
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        axes = (z(i) - a(i, j)) * (z(j) - a(j, i)) - (a(i, k) - a(i, j)) * (a(j, k) - a(j, i))
+        assert versal._pair_gen(reg, i, j, k) == axes, (i, j, k)
+
+
 def test_k_change_is_nontrivial():
     # the quadric the generator moves by is itself nonzero
     q = base_quadric(1, 2, 3, 4, 5, 5)
@@ -291,7 +334,7 @@ def test_t2_certificate_fails_on_a_flipped_phi_sign(monkeypatch):
 
 def test_t2_certificate_fails_on_a_dropped_lead():
     n = 7
-    vectors = versal._phi_coordinates(n)
+    vectors = list(versal._phi_coordinates(n))
     lead = max(vectors[0])
     lower, upper = versal._t2_bounds(n, [v for v in vectors if max(v) != lead])
     assert upper == t2_formula(n)
@@ -574,12 +617,16 @@ def test_quadric_span_verdict_matches_groebner_engine_on_subsystems(dropped, ext
 # smoothings
 
 
+def _branch_checks(rep):
+    return [c for c in rep.checks if "branch" in c.name]
+
+
 @pytest.mark.parametrize("variant", [DIAGONAL, AXIS_PARABOLA])
 @pytest.mark.parametrize("n", [4, 5])
 def test_smoothing(variant, n):
     family, rep = smoothing_family(variant, n)
     assert rep.ok, [c for c in rep.checks if not c.ok]
-    assert rep.branch_count == n
+    assert rep.branch_count == len(_branch_checks(rep)) == n
     assert len(family.total) == n * (n - 1) // 2
     assert family.base.generators == ()
     names = [c.name for c in rep.checks]
@@ -591,6 +638,45 @@ def test_smoothing(variant, n):
     else:
         assert "conic-branch" in names
         assert "difference-factorization" in names
+
+
+@pytest.mark.parametrize("variant,names", [
+    (DIAGONAL, ["fiber-at-zero", "axis-branch-z1", "axis-branch-z2", "axis-branch-z3",
+                "parabola-branch", "hyperbola-branch", "parameter-point-kills-phi"]),
+    (AXIS_PARABOLA, ["fiber-at-zero", "difference-factorization", "line-branch-z1",
+                     "line-branch-z2", "line-branch-z3", "line-branch-z4", "conic-branch"]),
+])
+def test_smoothing_check_order(variant, names):
+    _, rep = smoothing_family(variant, 5)
+    assert [c.name for c in rep.checks] == names
+
+
+@pytest.mark.parametrize("variant", [DIAGONAL, AXIS_PARABOLA])
+def test_smoothing_fiber_check_catches_a_perturbed_line(monkeypatch, variant):
+    original = versal.line_generator
+
+    def perturbed(reg, i, j):
+        g = original(reg, i, j)
+        return 2 * g if (i, j) == (1, 2) else g
+
+    monkeypatch.setattr(versal, "line_generator", perturbed)
+    _, rep = smoothing_family(variant, 5)
+    assert [c.name for c in rep.checks if not c.ok] == ["fiber-at-zero"]
+
+
+@pytest.mark.parametrize("variant", [DIAGONAL, AXIS_PARABOLA])
+def test_smoothing_branch_checks_catch_a_shifted_last_coordinate(monkeypatch, fresh_caches, variant):
+    n = 5
+    original = versal._zv
+
+    def shifted(reg, i):
+        z = original(reg, i)
+        return z + 1 if i == n else z
+
+    monkeypatch.setattr(versal, "_zv", shifted)
+    _, rep = smoothing_family(variant, n)
+    assert any(not c.ok for c in _branch_checks(rep))
+    assert not rep.ok
 
 
 def test_smoothing_rejects_bad_input():
