@@ -40,8 +40,10 @@ CAP_S = 60.0
 RUN_TIMINGS = ("wall_s", "wall_ref", "ref_before_s", "ref_after_s")
 
 sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "src"))
 
 from perfbench.run import reference_loop  # noqa: E402
+from versaldef.verify import SUITES  # noqa: E402
 
 # the cell's process: prints {"wall_s", "peak_rss_mb", "ok"} as one JSON line
 CELL = """
@@ -112,7 +114,7 @@ def merge(path: Path, cells: list) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--suite", required=True)
+    ap.add_argument("--suite", required=True, choices=SUITES)
     ap.add_argument("--from", dest="lo", type=int, required=True)
     ap.add_argument("--to", dest="hi", type=int, required=True)
     ap.add_argument("--label", required=True)

@@ -58,11 +58,15 @@ def parse_args(argv=None) -> RunConfig:
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         parser.error(f"unknown suites: {', '.join(unknown)}")
+    try:
+        budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
+    except ValueError as exc:
+        parser.error(str(exc))
     return RunConfig(
         suites=suites,
         out_dir=args.out_dir,
         baseline=args.baseline,
-        budget=Budget(max_pairs=args.spair_budget, max_terms=args.term_budget),
+        budget=budget,
         seed=args.seed,
         include_timing=args.include_timing,
     )

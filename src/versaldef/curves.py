@@ -163,7 +163,11 @@ class RelationFamily:
     """Syzygy vectors z_k(g_ij - g_il) - z_i(g_kj - g_kl) of the quadric
     presentation, indexed by quadruples of distinct indices, together
     with the rank of their linear coefficient vectors, which is computed
-    on first read."""
+    on first read.
+
+    Each vector holds only its four nonzero slots, as a tuple of
+    (slot, entry) pairs in ascending slot order; slot p is the
+    coefficient of the generator of pairs[p]."""
 
     n: int
     pairs: tuple
@@ -174,7 +178,7 @@ class RelationFamily:
     @cached_property
     def rank(self) -> int:
         rows = [
-            {(pos, mono): c for pos, poly in enumerate(vec) for mono, c in poly.terms.items()}
+            {(pos, mono): c for pos, poly in vec for mono, c in poly.terms.items()}
             for vec in self.vectors
         ]
         assert all(mono_degree(mono) == 1 for row in rows for _, mono in row)
@@ -205,26 +209,22 @@ def relations(n: int) -> RelationFamily:
 
     quadruples = _relation_quadruples(n)
 
-    # one shared zero for the empty slots: the family is cached, and at
-    # n = 8 24 of the 28 slots of each vector are zero
-    zero = Polynomial.zero(reg)
+    # the four slots are distinct, since i != k and j != l
     vectors = []
     for (i, k, j, l) in quadruples:
-        vec = [zero] * len(pairs)
         zi, zk = _zvar(reg, i), _zvar(reg, k)
-        for pos, coef in (
-            (ppos(i, j), zk),
-            (ppos(i, l), -zk),
-            (ppos(k, j), -zi),
-            (ppos(k, l), zi),
-        ):
-            vec[pos] = vec[pos] + coef
-        vectors.append(tuple(vec))
+        slots = {
+            ppos(i, j): zk,
+            ppos(i, l): -zk,
+            ppos(k, j): -zi,
+            ppos(k, l): zi,
+        }
+        vectors.append(tuple(sorted(slots.items())))
 
     # exactness: each vector annihilates the generators
     gens = [line_generator(reg, i, j) for i, j in pairs]
     for vec in vectors:
-        if sum_of_products(reg, ((1, v, g) for v, g in zip(vec, gens))):
+        if sum_of_products(reg, ((1, v, gens[p]) for p, v in vec)):
             raise AssertionError("relation family vector is not a syzygy")
 
     return RelationFamily(

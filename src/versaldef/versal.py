@@ -419,9 +419,10 @@ def quadric_symmetry_failures(n: int) -> List[tuple]:
     fails = []
     for (i, j, l, k, m) in quadric_index_set(n):
         q = _quadric(reg, i, j, l, k, m)
+        neg = -q
         if (
-            _quadric(reg, i, l, j, k, m) != -q
-            or _quadric(reg, i, j, l, m, k) != -q
+            _quadric(reg, i, l, j, k, m) != neg
+            or _quadric(reg, i, j, l, m, k) != neg
             or _quadric(reg, i, k, m, j, l) != q
         ):
             fails.append((i, j, l, k, m))
@@ -562,15 +563,17 @@ def _lines_gb(n: int) -> GroebnerBasis:
 
 
 def _lifting_conditions(
-    vectors: Sequence[Sequence[Polynomial]], shifts: Sequence[Mono], gb: GroebnerBasis
+    vectors: Sequence[tuple], shifts: Sequence[Mono], gb: GroebnerBasis
 ) -> SparseEliminator:
     """The first-order lifting conditions of one weight, eliminated.
 
-    The unknown in column p*len(shifts) + s is the coefficient of the
-    monomial shifts[s] in the perturbation of generator p.  A relation
-    vector r lifts iff sum_p r_p * perturbation_p reduces to zero modulo
-    the ideal of ``gb``; each monomial of that normal form is one linear
-    condition on the unknowns.
+    Each relation vector r is given by its nonzero slots, as (p, r_p)
+    pairs in ascending p.  The unknown in column p*len(shifts) + s is
+    the coefficient of the monomial shifts[s] in the perturbation of
+    generator p.  A relation vector r lifts iff sum_p r_p *
+    perturbation_p reduces to zero modulo the ideal of ``gb``; each
+    monomial of that normal form is one linear condition on the
+    unknowns.
 
     The rows are fed last row first: the last vector first, and within
     each vector its last condition first.  The rank does not depend on
@@ -584,7 +587,7 @@ def _lifting_conditions(
     nf: Dict[Mono, dict] = {}
     for vec in reversed(vectors):
         cond: Dict[Mono, Dict[int, Scalar]] = {}
-        for p, entry in enumerate(vec):
+        for p, entry in vec:
             for mono, c in entry.terms.items():
                 for s, shift in enumerate(shifts):
                     prod = mono_mul(mono, shift)

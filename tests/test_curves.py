@@ -108,6 +108,18 @@ def test_relation_rank(n):
     assert len(fam.quadruples) == expected_quads
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_relation_vectors_hold_four_nonzero_slots_in_order(n):
+    fam = relations(n)
+    assert len(fam.vectors) == len(fam.quadruples)
+    for vec in fam.vectors:
+        slots = [p for p, _ in vec]
+        assert len(slots) == 4
+        assert slots == sorted(set(slots))
+        assert all(0 <= p < len(fam.pairs) for p in slots)
+        assert all(entry for _, entry in vec)
+
+
 def test_relations_are_cached_and_their_rank_is_lazy(monkeypatch):
     from versaldef.linalg import SparseEliminator
 

@@ -48,6 +48,24 @@ def test_run_suites_writes_and_diffs_reports(run_suites, tmp_path, capsys):
     assert "regression" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [["--spair-budget", "0"], ["--term-budget", "-1"]])
+def test_run_suites_rejects_a_bad_budget_as_a_usage_error(run_suites, tmp_path, flag):
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        run_suites.main(["axes", "--out-dir", str(out), *flag])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_bench_grid_rejects_an_unknown_suite_before_any_cell(tmp_path, monkeypatch):
+    bench_grid = _load("bench_grid")
+    monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_grid.main(["--suite", "nosuch", "--from", "4", "--to", "4", "--label", "smoke"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
     bench_grid = _load("bench_grid")
     monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)

@@ -7,6 +7,7 @@ perturbed version of the expression must fail, so a vacuous checker
 cannot pass silently."""
 
 import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -279,10 +280,9 @@ def test_t1_depends_on_relation_vectors(monkeypatch):
 
     def poisoned(n):
         fam = real(n)
-        first = list(fam.vectors[0])
-        slot = next(p for p, v in enumerate(first) if v)
-        first[slot] = -first[slot]
-        return dataclasses.replace(fam, vectors=(tuple(first),) + fam.vectors[1:])
+        (slot, entry), *rest = fam.vectors[0]
+        first = ((slot, -entry), *rest)
+        return dataclasses.replace(fam, vectors=(first,) + fam.vectors[1:])
 
     monkeypatch.setattr(versal, "relations", poisoned)
     t1_compute.cache_clear()
@@ -293,6 +293,37 @@ def test_t1_depends_on_relation_vectors(monkeypatch):
             assert res.dimension != dim
     finally:
         t1_compute.cache_clear()
+
+
+# sha256 of the rows t1_compute(n) gives SparseEliminator.add, one
+# repr(sorted(row.items())) line each, in the order given; the row order
+# sets the fill-in of the elimination
+_T1_ROWS_SHA256 = {
+    4: "d364fed3d6f8ec2200de23a33b158fee376998d1bd38a23a7bcb9cab7527fea4",
+    5: "232eccc60446cf19d9e53ac11a6e72c9f9155bee70c7fdad01f70c57acdf78b5",
+    6: "f64d5b3612edf2e635e32d60496a837e9f36dde866e3cbe59419d63166b42a78",
+    7: "814225248c48d231829c230b650361ccba020f079d38b3f28433a23931c4c92d",
+    8: "df158af95ab3b2a84d7e1f911dee8cf6f368bf2c841b54ef737117dab01bbdad",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_T1_ROWS_SHA256))
+def test_t1_lifting_rows_are_pinned(n, monkeypatch):
+    versal._lines_gb(n)  # built first: buchberger feeds SparseEliminator too
+    digest = hashlib.sha256()
+    real = versal.SparseEliminator.add
+
+    def recording(self, row):
+        digest.update((repr(sorted(row.items())) + "\n").encode())
+        return real(self, row)
+
+    monkeypatch.setattr(versal.SparseEliminator, "add", recording)
+    t1_compute.cache_clear()
+    try:
+        t1_compute(n)
+    finally:
+        t1_compute.cache_clear()
+    assert digest.hexdigest() == _T1_ROWS_SHA256[n]
 
 
 def test_t1_rejects_small_n():
