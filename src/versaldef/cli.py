@@ -127,38 +127,21 @@ def _emit_curve(args) -> Tuple[VarRegistry, List[Polynomial], dict]:
         if n < 3:
             raise ValueError("generic lines need n >= 3")
         presentation = curves.G_FORM if args.presentation == "g" else curves.F_FORM
-        ideal = curves.lines_ideal(n, presentation)
         spec = curves.CurveSpec(curves.LINES_GENERIC, n, presentation=presentation)
-        return ideal.registry, list(ideal.generators), {
-            "curve": spec.to_json_dict(),
-            "variables": list(ideal.registry.names),
-            "generators": [to_str(g) for g in ideal.generators],
-        }
-    if args.curve == "axes":
-        if n < 2:
-            raise ValueError("coordinate axes need n >= 2")
-        reg = build_registry(nz=n)
-        gens = [
-            Polynomial.var(reg, f"z{i}") * Polynomial.var(reg, f"z{j}")
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
+        gens = list(curves.lines_ideal(n, presentation).generators)
+    elif args.curve == "axes":
         spec = curves.CurveSpec(curves.AXES, n)
-        return reg, gens, {
-            "curve": spec.to_json_dict(),
-            "variables": list(reg.names),
-            "generators": [to_str(g) for g in gens],
-        }
-    if args.curve == "elliptic":
-        gens = curves.elliptic_monomial_table(n)
+        gens = list(curves.axes_ideal(n).generators)
+    elif args.curve == "elliptic":
         spec = curves.CurveSpec(curves.MONOMIAL_ELLIPTIC, n)
+        gens = curves.elliptic_monomial_table(n)
     elif args.curve == "rational":
-        gens = curves.rational_monomial_table(n)
         spec = curves.CurveSpec(curves.MONOMIAL_RATIONAL, n)
+        gens = curves.rational_monomial_table(n)
     else:
         raise ValueError(f"unknown curve kind {args.curve!r}")
     reg = gens[0].reg
-    return reg, list(gens), {
+    return reg, gens, {
         "curve": spec.to_json_dict(),
         "variables": list(reg.names),
         "generators": [to_str(g) for g in gens],
@@ -181,22 +164,23 @@ def _emit_base(args) -> Tuple[VarRegistry, List[Polynomial], dict]:
     }
 
 
-def _cmd_emit(args, out) -> int:
+def _cmd_emit(args) -> Tuple[int, str]:
     if args.what == "curve":
         reg, gens, payload = _emit_curve(args)
     elif args.what == "family":
         reg, gens, payload = _emit_family(args)
     else:
         reg, gens, payload = _emit_base(args)
-    out.write(_render(reg, gens, args.format, payload))
-    return 0
+    return 0, _render(reg, gens, args.format, payload)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> Tuple[int, str]:
+    """Prints one line per check and per suite; the text returned is the
+    JSON report, which goes only to ``--out``."""
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     n_range = tuple(args.n) if args.n else None
     reports = [verify.run_suite(nm, n_range, args.budget, seed=args.seed) for nm in names]
@@ -213,25 +197,26 @@ def _cmd_verify(args, out) -> int:
             f"{s['skipped']} skipped (n = {rep.n_range[0]}..{rep.n_range[1]})"
         )
 
-    if out is not sys.stdout:
+    text = ""
+    if args.out:
         if len(reports) == 1:
-            out.write(reports[0].to_json())
+            text = reports[0].to_json()
         else:
             payload = [r.to_json_dict() for r in reports]
-            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     if any(c.status == FAIL for r in reports for c in r.checks):
-        return 1
+        return 1, text
     if any(c.status == SKIPPED_BUDGET for r in reports for c in r.checks):
-        return BUDGET_EXIT
-    return 0
+        return BUDGET_EXIT, text
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-def _cmd_invariants(args, out) -> int:
+def _cmd_invariants(args) -> Tuple[int, str]:
     if args.family == "L":
         m = args.index  # number of lines
         if m < 4:
@@ -249,10 +234,8 @@ def _cmd_invariants(args, out) -> int:
         n = args.index
         if n < 2:
             raise ValueError("need n >= 2")
-        if args.family == "elliptic":
-            semi = curves.semigroup_invariants(range(n + 1, 2 * n + 1))
-        else:
-            semi = curves.semigroup_invariants(range(n, 2 * n))
+        kind = curves.MONOMIAL_ELLIPTIC if args.family == "elliptic" else curves.MONOMIAL_RATIONAL
+        semi = curves.semigroup_invariants(curves.monomial_semigroup(kind, n))
         num = curves.numeric_invariants(semi.delta, branches=1)
         data = {
             "delta": semi.delta,
@@ -265,10 +248,8 @@ def _cmd_invariants(args, out) -> int:
         raise ValueError(f"unknown family {args.family!r}")
 
     if args.format == "json":
-        out.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(", ".join(f"{k} {v}" for k, v in data.items()) + "\n")
-    return 0
+        return 0, json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return 0, ", ".join(f"{k} {v}" for k, v in data.items()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +291,7 @@ def _infer_registry(lines: Sequence[str]) -> VarRegistry:
     )
 
 
-def _cmd_groebner(args, out) -> int:
+def _cmd_groebner(args) -> Tuple[int, str]:
     with open(args.file, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
     lines = [ln.strip() for ln in raw]
@@ -334,8 +315,7 @@ def _cmd_groebner(args, out) -> int:
     payload.update(
         {"variables": list(reg.names), "basis": [to_str(g) for g in gens]}
     )
-    out.write(_render(reg, gens, args.format, payload))
-    return 0
+    return 0, _render(reg, gens, args.format, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +424,28 @@ def _apply_config(args) -> None:
     args.budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
 
 
+_COMMANDS = {
+    "emit": _cmd_emit,
+    "verify": _cmd_verify,
+    "invariants": _cmd_invariants,
+    "groebner": _cmd_groebner,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        out = sys.stdout
+        code, text = _COMMANDS[args.command](args)
+        # written only once the command has returned, so a failed
+        # command leaves an existing --out file as it was
         if args.out:
-            out = open(args.out, "w", encoding="utf-8")
-        try:
-            if args.command == "emit":
-                return _cmd_emit(args, out)
-            if args.command == "verify":
-                return _cmd_verify(args, out)
-            if args.command == "invariants":
-                return _cmd_invariants(args, out)
-            return _cmd_groebner(args, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return BUDGET_EXIT

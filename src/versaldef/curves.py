@@ -46,6 +46,9 @@ __all__ = [
     "lines_registry",
     "lines_ideal",
     "line_generator",
+    "axes_ideal",
+    "monomial_semigroup",
+    "monomial_rewrites",
     "elliptic_monomial_table",
     "rational_monomial_table",
     "monomial_ideal",
@@ -113,6 +116,8 @@ class CurveSpec:
 
 @lru_cache(maxsize=None)
 def lines_registry(n: int, with_y: bool = True) -> VarRegistry:
+    """z_1..z_n, and y unless ``with_y`` is False; the y-free ring is
+    also the ring of the coordinate axes and the monomial curves."""
     return build_registry(nz=n, y=with_y)
 
 
@@ -152,6 +157,16 @@ def lines_ideal(n: int, presentation: str = G_FORM) -> Ideal:
         ]
         return Ideal(reg, gens)
     raise ValueError(f"unknown presentation {presentation!r}")
+
+
+def axes_ideal(n: int) -> Ideal:
+    """Ideal of the n coordinate axes: the products z_i*z_j, i < j."""
+    if n < 2:
+        raise ValueError("coordinate axes need n >= 2")
+    reg = lines_registry(n, with_y=False)
+    return Ideal(reg, [
+        _zvar(reg, i) * _zvar(reg, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -240,57 +255,63 @@ def relations(n: int) -> RelationFamily:
 # monomial curves
 
 
-@lru_cache(maxsize=None)
-def _monomial_registry(n: int) -> VarRegistry:
-    return build_registry(nz=n)
+def monomial_semigroup(kind: str, n: int) -> range:
+    """Generators off+1, ..., off+n of the value semigroup of a monomial
+    curve parametrized by z_m = t^(off+m): off = n for the elliptic
+    curve <n+1, ..., 2n> and off = n-1 for the rational one
+    <n, ..., 2n-1>."""
+    offsets = {MONOMIAL_ELLIPTIC: n, MONOMIAL_RATIONAL: n - 1}
+    if kind not in offsets:
+        raise ValueError(f"unsupported monomial curve kind {kind!r}")
+    return range(offsets[kind] + 1, offsets[kind] + n + 1)
+
+
+def monomial_rewrites(kind: str, n: int) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """The rewriting rule of a monomial curve as (i, j, rhs) over
+    2 <= i <= j <= n: z_i*z_j equals the product of the z_k, k in rhs,
+    on the curve.  With off as in ``monomial_semigroup`` and
+    m = i+j-2-off, rhs is (1, i+j-1) when i+j <= n+1, (1, 1, m) when
+    m >= 1, and (2, n) otherwise, which happens only on the elliptic
+    curve at i+j = n+2; there the tautology (2, n) -> (2, n) is dropped.
+    Every reader of the rule takes it from here."""
+    off = monomial_semigroup(kind, n)[0] - 1
+    out = []
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            m = i + j - 2 - off
+            if i + j <= n + 1:
+                rhs = (1, i + j - 1)
+            elif m >= 1:
+                rhs = (1, 1, m)
+            else:
+                rhs = (2, n)
+            if rhs != (i, j):
+                out.append((i, j, rhs))
+    return out
+
+
+def _monomial_table(kind: str, n: int) -> List[Polynomial]:
+    if n < 3:
+        raise ValueError("need n >= 3")
+    reg = lines_registry(n, with_y=False)
+    return [
+        _zvar(reg, i) * _zvar(reg, j)
+        - (_zvar(reg, 1) ** 2 if len(rhs) == 3 else _zvar(reg, rhs[0])) * _zvar(reg, rhs[-1])
+        for i, j, rhs in monomial_rewrites(kind, n)
+    ]
 
 
 def elliptic_monomial_table(n: int) -> List[Polynomial]:
-    """Equations of the monomial curve with semigroup <n+1, ..., 2n>,
-    parametrized by z_m = t^(n+m).
-
-    For 2 <= i <= j the product z_i*z_j rewrites as z_1*z_{i+j-1} when
-    i+j <= n+1, as z_2*z_n when i+j = n+2, and as z_1^2*z_{i+j-n-2} when
-    i+j >= n+3; the tautological case (i, j) = (2, n) is dropped.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    reg = _monomial_registry(n)
-    out = []
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            if (i, j) == (2, n):
-                continue
-            lhs = _zvar(reg, i) * _zvar(reg, j)
-            if i + j <= n + 1:
-                rhs = _zvar(reg, 1) * _zvar(reg, i + j - 1)
-            elif i + j == n + 2:
-                rhs = _zvar(reg, 2) * _zvar(reg, n)
-            else:
-                rhs = _zvar(reg, 1) ** 2 * _zvar(reg, i + j - n - 2)
-            out.append(lhs - rhs)
-    return out
+    """Equations z_i*z_j - rhs of the monomial curve with semigroup
+    <n+1, ..., 2n> (z_m = t^(n+m)), one per rewrite of
+    ``monomial_rewrites``: z_1*z_{i+j-1}, z_2*z_n or z_1^2*z_{i+j-n-2}."""
+    return _monomial_table(MONOMIAL_ELLIPTIC, n)
 
 
 def rational_monomial_table(n: int) -> List[Polynomial]:
-    """Analogous rewriting system for the semigroup <n, ..., 2n-1>
-    (z_m = t^(n+m-1)): z_i*z_j becomes z_1*z_{i+j-1} for i+j <= n+1,
-    z_1^3 for i+j = n+2 and z_1^2*z_{i+j-n-1} for i+j >= n+3."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    reg = _monomial_registry(n)
-    out = []
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            lhs = _zvar(reg, i) * _zvar(reg, j)
-            if i + j <= n + 1:
-                rhs = _zvar(reg, 1) * _zvar(reg, i + j - 1)
-            elif i + j == n + 2:
-                rhs = _zvar(reg, 1) ** 3
-            else:
-                rhs = _zvar(reg, 1) ** 2 * _zvar(reg, i + j - n - 1)
-            out.append(lhs - rhs)
-    return out
+    """The same for the semigroup <n, ..., 2n-1> (z_m = t^(n+m-1)):
+    z_1*z_{i+j-1}, or z_1^2*z_{i+j-n-1}, which is z_1^3 at i+j = n+2."""
+    return _monomial_table(MONOMIAL_RATIONAL, n)
 
 
 def parametrization_kernel(
@@ -308,13 +329,9 @@ def parametrization_kernel(
 
 def monomial_ideal(kind: str, n: int, budget: Budget = DEFAULT_BUDGET) -> Ideal:
     """Ideal of a monomial curve: the elimination kernel of its
-    parametrization, z_m -> t^(n+m) for the elliptic curve and
-    t^(n+m-1) for the rational one.  The rewriting tables are separate
-    cross-checks against it."""
-    offsets = {MONOMIAL_ELLIPTIC: n, MONOMIAL_RATIONAL: n - 1}
-    if kind not in offsets:
-        raise ValueError(f"unsupported monomial curve kind {kind!r}")
-    return parametrization_kernel(n, [offsets[kind] + m for m in range(1, n + 1)], budget)
+    parametrization z_m -> t^(off+m) (``monomial_semigroup``).  The
+    rewriting tables are separate cross-checks against it."""
+    return parametrization_kernel(n, monomial_semigroup(kind, n), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +358,14 @@ class NonrationalLinesReport:
 
 
 def _nonrational_system(n: int, wrap_with_z1: bool = False) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Exponent-level system: pairs (lhs indices, rhs indices)."""
-    out = []
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            if (i, j) == (2, n) and not wrap_with_z1:
-                continue
-            if i + j <= n + 1:
-                rhs = (1, i + j - 1)
-            elif i + j == n + 2:
-                rhs = (1, n) if wrap_with_z1 else (2, n)
-            else:
-                rhs = (1, i + j - n - 2)
-            if (i, j) == rhs:
-                continue
-            out.append(((i, j), rhs))
-    return out
+    """Exponent-level system: pairs (lhs indices, rhs indices), read
+    from the elliptic rewrites with z_1^2*z_m taken as z_1*z_m.  The
+    uniform-wrap variant rewrites every i+j = n+2 as z_1*z_n."""
+    system = [((i, j), rhs[-2:]) for i, j, rhs in monomial_rewrites(MONOMIAL_ELLIPTIC, n)]
+    if not wrap_with_z1:
+        return system
+    wrapped = [((i, j), (1, n) if i + j == n + 2 else rhs) for (i, j), rhs in system]
+    return wrapped + [((2, n), (1, n))]
 
 
 def _residues(n: int, system) -> tuple:

@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 from .groebner import GroebnerBasis
 from .poly import MONO_ONE, Mono, mono_degree, mono_divides, mono_weighted_degree, weighted_degree
 
-__all__ = ["HilbertData", "hilbert_data", "hilbert_function_values", "krull_dimension_of_monomials"]
+__all__ = ["HilbertData", "hilbert_data"]
 
 
 # polynomial-in-T helpers on int coefficient lists ---------------------------
@@ -210,41 +210,3 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
         multiplicity=sum(reduced),
         h_vector=tuple(reduced),
     )
-
-
-def hilbert_function_values(data: HilbertData, upto: int) -> List[int]:
-    """Values of the Hilbert function predicted by the reduced series.
-
-    Expands numerator / (1-T)^dimension as a power series up to degree
-    ``upto`` (inclusive).
-    """
-    d = data.dimension
-    vals = [0] * (upto + 1)
-    # 1/(1-T)^d has coefficients binom(k + d - 1, d - 1)
-    from math import comb
-
-    for shift, c in enumerate(data.h_vector):
-        if not c:
-            continue
-        for k in range(shift, upto + 1):
-            if d <= 0:
-                vals[k] += c if k == shift else 0
-            else:
-                vals[k] += c * comb(k - shift + d - 1, d - 1)
-    return vals
-
-
-def krull_dimension_of_monomials(nvars: int, gens: List[Mono]) -> int:
-    """Independent-set dimension of a monomial ideal: the largest set of
-    variables touching no generator entirely.  Used as an oracle."""
-    from itertools import combinations
-
-    supports = [frozenset(v for v, _ in m) for m in gens]
-    if any(not s for s in supports):
-        return -1
-    for size in range(nvars, -1, -1):
-        for cand in combinations(range(nvars), size):
-            cset = set(cand)
-            if all(not s <= cset for s in supports):
-                return size
-    return 0

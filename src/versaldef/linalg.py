@@ -147,10 +147,6 @@ class Span:
         return self.elim.rank
 
 
-def in_span(row: Row, elim: SparseEliminator) -> bool:
-    return not elim.reduce(row)
-
-
 def in_kernel(vec: Row, elim: SparseEliminator) -> bool:
     """True iff ``vec`` has dot product zero with every row added to
     ``elim``.

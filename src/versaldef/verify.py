@@ -257,8 +257,8 @@ def _suite_monomial(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
         )
 
     def semigroups():
-        rat = curves.semigroup_invariants(range(n, 2 * n))
-        ell = curves.semigroup_invariants(range(n + 1, 2 * n + 1))
+        rat = curves.semigroup_invariants(curves.monomial_semigroup(curves.MONOMIAL_RATIONAL, n))
+        ell = curves.semigroup_invariants(curves.monomial_semigroup(curves.MONOMIAL_ELLIPTIC, n))
         ok = (
             rat.delta == n - 1
             and rat.multiplicity == n

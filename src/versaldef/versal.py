@@ -24,11 +24,15 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .curves import (
+    MONOMIAL_ELLIPTIC,
     _relation_quadruples,
+    axes_ideal,
     elliptic_monomial_table,
     line_generator,
     lines_ideal,
     lines_registry,
+    monomial_rewrites,
+    monomial_semigroup,
     relations,
 )
 from .groebner import (
@@ -107,9 +111,9 @@ AXIS_PARABOLA = "AXIS_PARABOLA"
 
 @lru_cache(maxsize=None)
 def versal_registry(n: int) -> VarRegistry:
-    """One ring for everything: z-variables, y, the 1-parameter symbols
-    t and s, and the antisymmetric deformation parameters."""
-    return build_registry(nz=n, y=True, t=True, s=True, npairs=n)
+    """The ring of the main family: z-variables, y and the antisymmetric
+    deformation parameters.  The smoothings build their own ring."""
+    return build_registry(nz=n, y=True, npairs=n)
 
 
 @lru_cache(maxsize=None)
@@ -820,7 +824,7 @@ def base_equals_total(n: int) -> InductionReport:
     ok = (
         not mismatches
         and new_rank == expected_new
-        and combined_rank == t2_dimension(n)
+        and combined_rank == _bounded_rank(n, _phi_coordinates(n), "T2")
         and eq
     )
     return InductionReport(
@@ -1093,19 +1097,10 @@ def elliptic_monomial_family(
     for m in range(2, n + 1):
         q = q + pv(m) * _zv(reg, n + 2 - m)
 
-    total = []
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            if (i, j) == (2, n):
-                continue
-            lhs = _zv(reg, i) * _zv(reg, j)
-            if i + j <= n + 1:
-                rhs = _zv(reg, 1) * _zv(reg, i + j - 1)
-            elif i + j == n + 2:
-                rhs = _zv(reg, 2) * _zv(reg, n)
-            else:
-                rhs = q * _zv(reg, i + j - n - 2)
-            total.append(lhs - rhs)
+    total = [
+        _zv(reg, i) * _zv(reg, j) - (q if len(rhs) == 3 else _zv(reg, rhs[0])) * _zv(reg, rhs[-1])
+        for i, j, rhs in monomial_rewrites(MONOMIAL_ELLIPTIC, n)
+    ]
 
     family = DeformationFamily(
         n=n, total=tuple(total), base=Ideal(param_reg, []), parameters=param_reg
@@ -1119,7 +1114,9 @@ def elliptic_monomial_family(
 
     treg = build_registry(t=True)
     tvar = Polynomial.var(treg, "t")
-    par_assign = {f"z{m}": tvar ** (n + m) for m in range(1, n + 1)}
+    par_assign = {
+        f"z{m}": tvar ** e for m, e in enumerate(monomial_semigroup(MONOMIAL_ELLIPTIC, n), 1)
+    }
     par_assign.update({f"a_{m}": Polynomial.zero(treg) for m in range(2, n + 2)})
     parametrization_ok = all(
         substitute(p, par_assign, target=treg).is_zero() for p in total
@@ -1220,14 +1217,11 @@ def axes_family_report(n: int) -> AxesFamilyReport:
     reg = family.total[0].reg
     param_reg = family.parameters
 
-    zreg = build_registry(nz=n)
-    zzero = Polynomial.zero(zreg)
+    expected = axes_ideal(n)
+    zzero = Polynomial.zero(expected.registry)
     zero_assign = {nm: zzero for nm in param_reg.names}
-    fiber = [substitute(p, zero_assign, target=zreg) for p in family.total]
-    expected = [
-        _zv(zreg, i) * _zv(zreg, j) for i, j in itertools.combinations(range(1, n + 1), 2)
-    ]
-    zero_fiber_ok = fiber == expected
+    fiber = [substitute(p, zero_assign, target=expected.registry) for p in family.total]
+    zero_fiber_ok = fiber == list(expected.generators)
 
     differences = []
     for i, j, comp in _axes_pairs(n):

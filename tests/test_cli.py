@@ -231,6 +231,36 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert len(path.read_text().strip().split("\n")) == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "flatness", "--n", "3", "5"),
+    ("emit", "curve", "elliptic", "2"),
+])
+def test_usage_error_leaves_out_file_untouched(capsys, tmp_path, argv):
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"earlier output\n")
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert path.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("argv, code, status, summary_key", [
+    (("identities", "--n", "4", "4"), 1, "FAIL", "fail"),
+    (("base-geometry", "--n", "5", "5", "--spair-budget", "1", "--term-budget", "1"),
+     3, "SKIPPED_BUDGET", "skipped"),
+])
+def test_verify_writes_report_file_when_checks_fail_or_skip(
+    capsys, monkeypatch, tmp_path, argv, code, status, summary_key
+):
+    monkeypatch.setattr(versal, "phi_symmetry_failures", lambda n: [(1, 2, 3)])
+    path = tmp_path / "report.json"
+    got, out, _ = run(capsys, "verify", *argv, "--out", str(path))
+    assert got == code
+    assert status in out and "suite " in out  # summary still on stdout
+    assert not out.lstrip().startswith("{")  # the JSON goes only to --out
+    assert json.loads(path.read_text())["summary"][summary_key] >= 1
+
+
 def test_config_fills_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "json"}))

@@ -2,6 +2,7 @@
 count, the frozen numerators and invariants of the base rings, and their
 Hilbert function in degrees 2 and 3 by linear algebra alone."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,14 +14,40 @@ from versaldef.groebner import (
     buchberger,
     monomials_of_weighted_degree,
 )
-from versaldef.hilbert import (
-    _numerator,
-    hilbert_data,
-    hilbert_function_values,
-    krull_dimension_of_monomials,
-)
+from versaldef.hilbert import _numerator, hilbert_data
 from versaldef.poly import Polynomial, build_registry, parse
 from versaldef.versal import _base_gb, minimal_base_quadrics, span_rank
+
+
+def hilbert_function_values(data, upto):
+    """Values of the Hilbert function predicted by the reduced series:
+    numerator / (1-T)^dimension expanded up to degree ``upto``
+    (inclusive); 1/(1-T)^d has coefficients binom(k + d - 1, d - 1)."""
+    d = data.dimension
+    vals = [0] * (upto + 1)
+    for shift, c in enumerate(data.h_vector):
+        if not c:
+            continue
+        for k in range(shift, upto + 1):
+            if d <= 0:
+                vals[k] += c if k == shift else 0
+            else:
+                vals[k] += c * comb(k - shift + d - 1, d - 1)
+    return vals
+
+
+def krull_dimension_of_monomials(nvars, gens):
+    """Independent-set dimension of a monomial ideal: the largest set of
+    variables touching no generator entirely."""
+    supports = [frozenset(v for v, _ in m) for m in gens]
+    if any(not s for s in supports):
+        return -1
+    for size in range(nvars, -1, -1):
+        for cand in combinations(range(nvars), size):
+            cset = set(cand)
+            if all(not s <= cset for s in supports):
+                return size
+    return 0
 
 
 def _divides(a, b):

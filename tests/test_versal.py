@@ -389,7 +389,7 @@ def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
 
 
 def test_induction_checks_phi_independence_once_per_level(monkeypatch):
-    """Once at n - 1 and once at n, plus once inside t2_dimension."""
+    """Once at n - 1 and once at n."""
     calls = []
     original = versal.phi_symmetry_failures
 
@@ -399,7 +399,7 @@ def test_induction_checks_phi_independence_once_per_level(monkeypatch):
 
     monkeypatch.setattr(versal, "phi_symmetry_failures", counting)
     assert base_equals_total(6).ok
-    assert sorted(calls) == [5, 6, 6]
+    assert sorted(calls) == [5, 6]
 
 
 @pytest.mark.parametrize("n", [5, 6])
