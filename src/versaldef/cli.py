@@ -112,9 +112,7 @@ def _render(reg: VarRegistry, gens: Sequence[Polynomial], fmt: str, json_payload
         return json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
     if fmt == "singular":
         return _script_singular(reg, gens)
-    if fmt == "macaulay2":
-        return _script_macaulay2(reg, gens)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _script_macaulay2(reg, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +413,9 @@ def _apply_config(args) -> None:
     for key in _CONFIG_KEYS:
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, defaults[key]))
-    if args.format not in FORMATS:
-        raise ValueError(f"unknown format {args.format!r}")
+    formats = _COMMANDS[args.command][1]
+    if args.format not in formats:
+        raise ValueError(f"{args.command} takes format {' or '.join(formats)}, got {args.format!r}")
     if args.seed is not None and type(args.seed) is not int:
         raise ValueError(f"seed must be an integer or null, got {args.seed!r}")
     if args.out is not None and not isinstance(args.out, str):
@@ -424,11 +423,13 @@ def _apply_config(args) -> None:
     args.budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
 
 
+# each command with the formats it writes: verify writes its JSON report
+# only to --out, and invariants has no ring to write a script for
 _COMMANDS = {
-    "emit": _cmd_emit,
-    "verify": _cmd_verify,
-    "invariants": _cmd_invariants,
-    "groebner": _cmd_groebner,
+    "emit": (_cmd_emit, FORMATS),
+    "verify": (_cmd_verify, ("plain",)),
+    "invariants": (_cmd_invariants, ("plain", "json")),
+    "groebner": (_cmd_groebner, FORMATS),
 }
 
 
@@ -437,7 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        code, text = _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command][0](args)
         # written only once the command has returned, so a failed
         # command leaves an existing --out file as it was
         if args.out:

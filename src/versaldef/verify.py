@@ -394,6 +394,8 @@ def run_suite(
         raise ValueError(f"n range entries must be integers, got {n_range!r}")
     if lo < 4 or hi < lo:
         raise ValueError(f"need 4 <= lo <= hi, got ({lo}, {hi})")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"seed must be an integer or None, got {seed!r}")
     rng = random.Random(seed) if seed is not None else None
     checks: List[Check] = []
     for n in range(lo, hi + 1):

@@ -9,10 +9,13 @@ exact: first-order deformations are solved as rational linear systems,
 flatness is certified by reducing each lifted relation to zero against
 a Groebner basis of the base ideal, and the explicit smoothings and
 monomial-curve families are checked generator by generator.  Every base
-quadric is built from its (triple, sign) pairs, a signed sum of phi_abc,
-and the ranks of the obstruction space and of the induction step are
-certified from those phi-coordinates (independent phi_abc, and rank
-bounds that meet), with no quadric eliminated.
+quadric is built from its (triple, sign) pairs, a signed sum of phi_abc.
+Every linear statement about the phi_abc is decided in those
+phi-coordinates, under one certificate: phi is symmetric and the phi_abc
+are independent.  The ranks of the obstruction space and of the
+induction step (with rank bounds that meet) and the antisymmetry and
+four-term identities of the quadrics are read that way, with no quadric
+expanded or eliminated.
 """
 
 from __future__ import annotations
@@ -354,17 +357,17 @@ def _t2_bounds(n: int, vectors: Iterable[Mapping[Triple, int]]) -> Tuple[int, in
 
 
 class CertificateError(ValueError):
-    """A rank read from phi-coordinates is not certified: the phi_abc
-    are not independent, or the two bounds on the rank do not meet."""
+    """A rank or identity read from phi-coordinates is not certified: the
+    phi_abc are not independent, or the two bounds on a rank do not meet."""
 
 
 def _require_phi_independent(n: int) -> None:
     """CertificateError unless the phi_abc are independent
-    (``_phi_independent``), so that a rank in phi-coordinates is the
-    rank of the polynomials."""
+    (``_phi_independent``), so that a rank or a linear identity read in
+    phi-coordinates holds for the polynomials."""
     if not _phi_independent(n):
         raise CertificateError(
-            f"n={n}: the phi_abc are not independent, so phi-coordinates give no rank"
+            f"n={n}: the phi_abc are not independent, so phi-coordinates certify nothing"
         )
 
 
@@ -379,26 +382,19 @@ def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) ->
     return lower
 
 
-def _phi_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
-    """The rank of the quadrics with these phi-coordinates, certified
-    without eliminating them: the phi_abc are independent and the
-    bounds on the rank meet."""
-    _require_phi_independent(n)
-    return _bounded_rank(n, vectors, what)
-
-
 def t2_dimension(n: int) -> int:
     """Rank of the full base-quadric family inside the space of
     quadratic monomials (the obstruction-space dimension).
 
-    The rank is certified from the phi-coordinates of the quadrics
-    (``_phi_rank``), not by eliminating them: the n incidence
+    The rank is certified from the phi-coordinates of the quadrics, not
+    by eliminating them: the phi_abc are independent, the n incidence
     functionals vanish on every quadric and are independent, and there
     are C(n,3) - n distinct leads.
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    return _phi_rank(n, _phi_coordinates(n), "T2")
+    _require_phi_independent(n)
+    return _bounded_rank(n, _phi_coordinates(n), "T2")
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +414,23 @@ def phi_symmetry_failures(n: int) -> List[tuple]:
 
 def quadric_symmetry_failures(n: int) -> List[tuple]:
     """Canonical tuples violating the antisymmetries in (j,l) and (k,m)
-    or the symmetry under swapping the two pairs."""
-    reg = base_registry(n)
+    or the symmetry under swapping the two pairs.
+
+    Decided in phi-coordinates: each quadric is compared as its vector
+    over the sorted triples.  If phi is symmetric, equal vectors give
+    equal polynomials; if the phi_abc are independent, different vectors
+    give different polynomials.  ``_phi_independent`` checks both, and
+    CertificateError is raised when it fails.
+    """
+    _require_phi_independent(n)
     fails = []
     for (i, j, l, k, m) in quadric_index_set(n):
-        q = _quadric(reg, i, j, l, k, m)
-        neg = -q
+        q = _phi_vector(_quadric_phi_terms(i, j, l, k, m))
+        neg = {key: -c for key, c in q.items()}
         if (
-            _quadric(reg, i, l, j, k, m) != neg
-            or _quadric(reg, i, j, l, m, k) != neg
-            or _quadric(reg, i, k, m, j, l) != q
+            _phi_vector(_quadric_phi_terms(i, l, j, k, m)) != neg
+            or _phi_vector(_quadric_phi_terms(i, j, l, m, k)) != neg
+            or _phi_vector(_quadric_phi_terms(i, k, m, j, l)) != q
         ):
             fails.append((i, j, l, k, m))
     return fails
@@ -435,22 +438,29 @@ def quadric_symmetry_failures(n: int) -> List[tuple]:
 
 def four_term_failures(n: int) -> List[tuple]:
     """Violations of the linear relation expressing the quadrics with
-    superscript n through the others; needs six distinct indices."""
+    superscript n through the others; needs six distinct indices.
+
+    Decided in phi-coordinates: a tuple fails when the vector of the
+    signed sum over the sorted triples is nonzero.  If phi is symmetric,
+    a zero vector gives a zero polynomial; if the phi_abc are
+    independent, a nonzero vector gives a nonzero polynomial.
+    ``_phi_independent`` checks both, and CertificateError is raised
+    when it fails.
+    """
     if n < 6:
         raise ValueError("needs six distinct indices, so n >= 6")
-    reg = base_registry(n)
+    _require_phi_independent(n)
     fails = []
     pool = range(1, n)
     for j, l in itertools.combinations(pool, 2):
         rest = [x for x in pool if x not in (j, l)]
         for i, k, m in itertools.permutations(rest, 3):
-            expr = _phi_sum(reg, (
+            if _phi_vector((
                 *_quadric_phi_terms(i, j, l, k, m),
                 *((t, -sign) for t, sign in _quadric_phi_terms(n, j, l, k, m)),
                 *((t, -sign) for t, sign in _quadric_phi_terms(k, j, l, i, n)),
                 *_quadric_phi_terms(m, j, l, i, n),
-            ))
-            if not expr.is_zero():
+            )):
                 fails.append((i, j, l, k, m))
     return fails
 

@@ -261,6 +261,27 @@ def test_verify_writes_report_file_when_checks_fail_or_skip(
     assert json.loads(path.read_text())["summary"][summary_key] >= 1
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("invariants", "elliptic", "6", "--format", "singular"), None),
+    (("verify", "identities", "--n", "4", "4", "--format", "macaulay2"), None),
+    (("verify", "identities", "--n", "4", "4", "--format", "json"), None),
+    (("invariants", "L", "5"), {"format": "singular"}),
+])
+def test_format_a_command_cannot_write_is_a_usage_error(capsys, tmp_path, argv, config):
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"earlier output\n")
+    prefix = ()
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        prefix = ("--config", str(cfg))
+    code, out, err = run(capsys, *prefix, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "format" in err
+    assert path.read_bytes() == b"earlier output\n"
+
+
 def test_config_fills_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "json"}))

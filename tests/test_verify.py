@@ -66,6 +66,12 @@ def test_run_suite_rejects_non_integer_range(n_range):
         run_suite("identities", n_range)
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_run_suite_rejects_a_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_suite("identities", (4, 4), seed=seed)
+
+
 @pytest.mark.parametrize(
     "name,n_range",
     [

@@ -21,6 +21,7 @@ from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
 from versaldef.poly import (
     Polynomial, build_registry, mono_degree, parse, substitute, sum_of_products,
 )
+from versaldef.verify import run_suite
 from versaldef.versal import (
     AXIS_PARABOLA,
     DIAGONAL,
@@ -147,6 +148,114 @@ def test_quadric_checkers_catch_a_flipped_phi_sign(monkeypatch, fresh_caches):
     monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
     assert four_term_failures(6)
     assert quadric_symmetry_failures(5)
+
+
+def _polynomial_quadric_symmetry_failures(n):
+    """``quadric_symmetry_failures`` as it was before it read
+    phi-coordinates: it compares the expanded quadrics.  Kept as the
+    oracle of the phi-coordinate verdict."""
+    reg = base_registry(n)
+    fails = []
+    for (i, j, l, k, m) in quadric_index_set(n):
+        q = versal._quadric(reg, i, j, l, k, m)
+        neg = -q
+        if (
+            versal._quadric(reg, i, l, j, k, m) != neg
+            or versal._quadric(reg, i, j, l, m, k) != neg
+            or versal._quadric(reg, i, k, m, j, l) != q
+        ):
+            fails.append((i, j, l, k, m))
+    return fails
+
+
+def _polynomial_four_term_failures(n):
+    """``four_term_failures`` as it was before it read phi-coordinates:
+    it expands the 16 signed phi's into one polynomial.  Kept as the
+    oracle of the phi-coordinate verdict."""
+    reg = base_registry(n)
+    fails = []
+    pool = range(1, n)
+    for j, l in itertools.combinations(pool, 2):
+        rest = [x for x in pool if x not in (j, l)]
+        for i, k, m in itertools.permutations(rest, 3):
+            expr = versal._phi_sum(reg, (
+                *versal._quadric_phi_terms(i, j, l, k, m),
+                *((t, -sign) for t, sign in versal._quadric_phi_terms(n, j, l, k, m)),
+                *((t, -sign) for t, sign in versal._quadric_phi_terms(k, j, l, i, n)),
+                *versal._quadric_phi_terms(m, j, l, i, n),
+            ))
+            if not expr.is_zero():
+                fails.append((i, j, l, k, m))
+    return fails
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_quadric_symmetry_agrees_with_the_polynomial_oracle(n):
+    assert quadric_symmetry_failures(n) == _polynomial_quadric_symmetry_failures(n) == []
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_four_term_agrees_with_the_polynomial_oracle(n):
+    assert four_term_failures(n) == _polynomial_four_term_failures(n) == []
+
+
+@pytest.mark.parametrize("target, slot", [
+    ((1, 2, 3, 4, 5), 0),
+    ((2, 1, 3, 4, 5), 1),
+    ((1, 2, 3, 5, 4), 2),
+    ((6, 2, 3, 4, 5), 3),
+])
+def test_phi_coordinate_verdicts_match_the_oracle_on_a_mutant(
+    monkeypatch, fresh_caches, target, slot
+):
+    """Under one flipped sign the phi-coordinate checkers and the
+    polynomial oracles report the same tuples, in the same order."""
+    original = versal._quadric_phi_terms
+
+    def flipped(*idx):
+        terms = list(original(*idx))
+        if idx == target:
+            t, sign = terms[slot]
+            terms[slot] = (t, -sign)
+        return tuple(terms)
+
+    monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
+    for n in (6, 7):
+        fails = quadric_symmetry_failures(n)
+        assert fails == _polynomial_quadric_symmetry_failures(n)
+        fails_four = four_term_failures(n)
+        assert fails_four == _polynomial_four_term_failures(n)
+        assert fails and fails_four
+
+
+def test_identity_checkers_expand_no_quadric(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quadric was expanded")
+
+    monkeypatch.setattr(versal, "_phi_sum", refuse)
+    monkeypatch.setattr(versal, "_quadric", refuse)
+    assert quadric_symmetry_failures(6) == []
+    assert four_term_failures(6) == []
+
+
+def test_identity_checkers_fail_on_dependent_phis(monkeypatch, fresh_caches):
+    # phi_123 := phi_124 for every ordering of (1, 2, 3): phi stays
+    # symmetric, but the phi_abc are no longer independent
+    original = versal._phi
+
+    def merged(reg, i, j, k):
+        return original(reg, 1, 2, 4) if sorted((i, j, k)) == [1, 2, 3] else original(reg, i, j, k)
+
+    monkeypatch.setattr(versal, "_phi", merged)
+    assert not phi_symmetry_failures(6)
+    with pytest.raises(versal.CertificateError, match="not independent"):
+        quadric_symmetry_failures(6)
+    with pytest.raises(versal.CertificateError, match="not independent"):
+        four_term_failures(6)
+    checks = {c.id: c for c in run_suite("identities", (6, 6)).checks}
+    for cid in ("quadric-symmetry-n6", "four-term-n6"):
+        assert checks[cid].status == "FAIL"
+        assert "not independent" in checks[cid].details
 
 
 def test_family_checkers_catch_an_added_generator_term(monkeypatch, fresh_caches):
