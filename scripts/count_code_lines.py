@@ -52,6 +52,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("package", type=Path, nargs="?", default=ROOT / "src" / "versaldef")
     args = ap.parse_args(argv)
+    if not args.package.is_dir():
+        ap.error(f"not a directory: {args.package}")
     counts = count(args.package)
     for name, lines in counts.items():
         print(f"{lines:6d}  {name}")

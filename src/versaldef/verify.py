@@ -396,6 +396,8 @@ def run_suite(
         raise ValueError(f"need 4 <= lo <= hi, got ({lo}, {hi})")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"seed must be an integer or None, got {seed!r}")
+    if not isinstance(budget, Budget):
+        raise ValueError(f"budget must be a Budget, got {budget!r}")
     rng = random.Random(seed) if seed is not None else None
     checks: List[Check] = []
     for n in range(lo, hi + 1):

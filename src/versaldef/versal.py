@@ -12,10 +12,12 @@ monomial-curve families are checked generator by generator.  Every base
 quadric is built from its (triple, sign) pairs, a signed sum of phi_abc.
 Every linear statement about the phi_abc is decided in those
 phi-coordinates, under one certificate: phi is symmetric and the phi_abc
-are independent.  The ranks of the obstruction space and of the
-induction step (with rank bounds that meet) and the antisymmetry and
-four-term identities of the quadrics are read that way, with no quadric
-expanded or eliminated.
+are independent.  The certificate, ``_phi_basis``, returns the map
+from ordered to sorted triples that every coordinate is read through,
+so no coordinate is read without it.  The ranks of the obstruction
+space and of the induction step (with rank bounds that meet) and the
+antisymmetry and four-term identities of the quadrics are read that
+way, with no quadric expanded or eliminated.
 """
 
 from __future__ import annotations
@@ -302,36 +304,54 @@ def span_rank(polys: Sequence[Polynomial]) -> int:
     return Span().add(p.terms for p in polys)
 
 
-def _phi_independent(n: int) -> bool:
-    """Whether phi of every ordering of a triple is phi of the sorted
-    triple and the C(n,3) phi_abc are nonzero with pairwise disjoint
-    supports, hence linearly independent.  Then the map e_abc -> phi_abc
-    is injective, and a rank taken in phi-coordinates keyed by sorted
-    triples is the rank of the polynomials."""
+class CertificateError(ValueError):
+    """A rank or identity read from phi-coordinates is not certified: the
+    phi_abc are not independent, or the two bounds on a rank do not meet."""
+
+
+PhiBasis = Dict[Triple, Triple]
+
+
+def _phi_basis(n: int) -> PhiBasis:
+    """Every ordered triple of distinct indices in 1..n mapped to its
+    sorted triple, once the certificate holds: phi of every ordering of a
+    triple is phi of the sorted triple, and the C(n,3) phi_abc are
+    nonzero with pairwise disjoint supports, hence linearly independent.
+    Then the map e_abc -> phi_abc is injective, and a rank or a linear
+    identity read in phi-coordinates keyed by sorted triples holds for
+    the polynomials.  CertificateError otherwise.  Every reader of
+    phi-coordinates takes this map, so none reads them uncertified."""
     reg = base_registry(n)
-    supports = [_phi(reg, *t).terms for t in itertools.combinations(range(1, n + 1), 3)]
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    supports = [_phi(reg, *t).terms for t in triples]
     disjoint = len({m for s in supports for m in s}) == sum(map(len, supports))
-    return not phi_symmetry_failures(n) and all(supports) and disjoint
+    if phi_symmetry_failures(n) or not all(supports) or not disjoint:
+        raise CertificateError(
+            f"n={n}: the phi_abc are not independent, so phi-coordinates certify nothing"
+        )
+    return {p: t for t in triples for p in itertools.permutations(t)}
 
 
-def _phi_vector(phi_terms: Sequence[Tuple[Triple, int]]) -> Dict[Triple, int]:
+def _phi_vector(basis: PhiBasis, phi_terms: Sequence[Tuple[Triple, int]]) -> Dict[Triple, int]:
     """A quadric given by its (triple, sign) pairs as a vector over the
-    phi_abc, keyed by the sorted triple a < b < c."""
+    phi_abc, keyed by the sorted triple a < b < c; KeyError for a triple
+    outside ``basis``."""
     vec: Dict[Triple, int] = {}
     for t, sign in phi_terms:
-        key = tuple(sorted(t))
+        key = basis[t]
         vec[key] = vec.get(key, 0) + sign
     return {key: c for key, c in vec.items() if c}
 
 
-def _phi_coordinates(n: int) -> Iterator[Dict[Triple, int]]:
+def _phi_coordinates(basis: PhiBasis, n: int) -> Iterator[Dict[Triple, int]]:
     """Each base quadric as a vector over the phi_abc, one at a time."""
-    return (_phi_vector(_quadric_phi_terms(*q)) for q in quadric_index_set(n))
+    return (_phi_vector(basis, _quadric_phi_terms(*q)) for q in quadric_index_set(n))
 
 
-def _t2_bounds(n: int, vectors: Iterable[Mapping[Triple, int]]) -> Tuple[int, int]:
-    """Lower and upper bounds on the rank of ``vectors``, given over the
-    C(n,3) sorted triples and read in one pass.
+def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
+    """The rank of ``vectors``, given over the C(n,3) sorted triples, when
+    two bounds read in one pass meet; CertificateError naming both
+    otherwise.
 
     Upper: the incidence functionals f_t(e_abc) = [t in {a, b, c}] that
     vanish on every vector annihilate their span, so the rank is at most
@@ -353,28 +373,7 @@ def _t2_bounds(n: int, vectors: Iterable[Mapping[Triple, int]]) -> Tuple[int, in
         {key: 1 for key in triples if t in key}
         for t in range(1, n + 1) if t not in nonvanishing
     ]
-    return len(leads), len(triples) - Span().add(annihilators)
-
-
-class CertificateError(ValueError):
-    """A rank or identity read from phi-coordinates is not certified: the
-    phi_abc are not independent, or the two bounds on a rank do not meet."""
-
-
-def _require_phi_independent(n: int) -> None:
-    """CertificateError unless the phi_abc are independent
-    (``_phi_independent``), so that a rank or a linear identity read in
-    phi-coordinates holds for the polynomials."""
-    if not _phi_independent(n):
-        raise CertificateError(
-            f"n={n}: the phi_abc are not independent, so phi-coordinates certify nothing"
-        )
-
-
-def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
-    """The rank of ``vectors`` when the bounds of ``_t2_bounds`` meet;
-    CertificateError naming both bounds otherwise."""
-    lower, upper = _t2_bounds(n, vectors)
+    lower, upper = len(leads), len(triples) - Span().add(annihilators)
     if lower != upper:
         raise CertificateError(
             f"n={n}: {what} rank not certified, lower bound {lower}, upper bound {upper}"
@@ -393,8 +392,7 @@ def t2_dimension(n: int) -> int:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    _require_phi_independent(n)
-    return _bounded_rank(n, _phi_coordinates(n), "T2")
+    return _bounded_rank(n, _phi_coordinates(_phi_basis(n), n), "T2")
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +417,18 @@ def quadric_symmetry_failures(n: int) -> List[tuple]:
     Decided in phi-coordinates: each quadric is compared as its vector
     over the sorted triples.  If phi is symmetric, equal vectors give
     equal polynomials; if the phi_abc are independent, different vectors
-    give different polynomials.  ``_phi_independent`` checks both, and
+    give different polynomials.  ``_phi_basis`` checks both, and
     CertificateError is raised when it fails.
     """
-    _require_phi_independent(n)
+    basis = _phi_basis(n)
     fails = []
     for (i, j, l, k, m) in quadric_index_set(n):
-        q = _phi_vector(_quadric_phi_terms(i, j, l, k, m))
+        q = _phi_vector(basis, _quadric_phi_terms(i, j, l, k, m))
         neg = {key: -c for key, c in q.items()}
         if (
-            _phi_vector(_quadric_phi_terms(i, l, j, k, m)) != neg
-            or _phi_vector(_quadric_phi_terms(i, j, l, m, k)) != neg
-            or _phi_vector(_quadric_phi_terms(i, k, m, j, l)) != q
+            _phi_vector(basis, _quadric_phi_terms(i, l, j, k, m)) != neg
+            or _phi_vector(basis, _quadric_phi_terms(i, j, l, m, k)) != neg
+            or _phi_vector(basis, _quadric_phi_terms(i, k, m, j, l)) != q
         ):
             fails.append((i, j, l, k, m))
     return fails
@@ -444,18 +442,18 @@ def four_term_failures(n: int) -> List[tuple]:
     signed sum over the sorted triples is nonzero.  If phi is symmetric,
     a zero vector gives a zero polynomial; if the phi_abc are
     independent, a nonzero vector gives a nonzero polynomial.
-    ``_phi_independent`` checks both, and CertificateError is raised
-    when it fails.
+    ``_phi_basis`` checks both, and CertificateError is raised when it
+    fails.
     """
     if n < 6:
         raise ValueError("needs six distinct indices, so n >= 6")
-    _require_phi_independent(n)
+    basis = _phi_basis(n)
     fails = []
     pool = range(1, n)
     for j, l in itertools.combinations(pool, 2):
         rest = [x for x in pool if x not in (j, l)]
         for i, k, m in itertools.permutations(rest, 3):
-            if _phi_vector((
+            if _phi_vector(basis, (
                 *_quadric_phi_terms(i, j, l, k, m),
                 *((t, -sign) for t, sign in _quadric_phi_terms(n, j, l, k, m)),
                 *((t, -sign) for t, sign in _quadric_phi_terms(k, j, l, i, n)),
@@ -799,16 +797,17 @@ def base_equals_total(n: int) -> InductionReport:
 
     Each substituted generator is checked literally against its base
     quadric, so every system here is a signed sum of phi_abc and its
-    rank is read from phi-coordinates: the phi_abc are required
-    independent once per level, and each rank is ``_bounded_rank``; no
-    quadric is eliminated.  The degree-2 part of an ideal generated by
-    quadrics is their span, so V = carried + substituted generates the
-    ideal of the minimal system W exactly when rank V = rank W =
-    rank(V + W)."""
+    rank is read from phi-coordinates: ``_phi_basis`` certifies the
+    phi_abc independent once per level, and each rank is
+    ``_bounded_rank``; no quadric is eliminated.  The degree-2 part of
+    an ideal generated by quadrics is their span, so V = carried +
+    substituted generates the ideal of the minimal system W exactly when
+    rank V = rank W = rank(V + W)."""
     if n < 5:
         raise ValueError("need n >= 5")
     prev = n - 1
     breg = base_registry(n)
+    prev_basis, basis = _phi_basis(prev), _phi_basis(n)
     assign = {f"z{m}": _av(breg, m, n) for m in range(1, n)}
 
     substituted = []
@@ -818,13 +817,11 @@ def base_equals_total(n: int) -> InductionReport:
         s = substitute(family_generator(i, j, l, prev), assign, target=breg)
         if s != _quadric(breg, i, j, l, n, k):
             mismatches.append((i, j, l, k))
-        substituted.append(_phi_vector(_quadric_phi_terms(i, j, l, n, k)))
+        substituted.append(_phi_vector(basis, _quadric_phi_terms(i, j, l, n, k)))
 
-    carried = [_phi_vector(q) for q in _minimal_phi_terms(prev)]
-    target = [_phi_vector(q) for q in _minimal_phi_terms(n)]
+    carried = [_phi_vector(prev_basis, q) for q in _minimal_phi_terms(prev)]
+    target = [_phi_vector(basis, q) for q in _minimal_phi_terms(n)]
     combined = carried + substituted
-    _require_phi_independent(prev)
-    _require_phi_independent(n)
     carried_rank = _bounded_rank(prev, carried, "carried")
     combined_rank = _bounded_rank(n, combined, "combined")
     new_rank = combined_rank - carried_rank
@@ -834,7 +831,7 @@ def base_equals_total(n: int) -> InductionReport:
     ok = (
         not mismatches
         and new_rank == expected_new
-        and combined_rank == _bounded_rank(n, _phi_coordinates(n), "T2")
+        and combined_rank == _bounded_rank(n, _phi_coordinates(basis, n), "T2")
         and eq
     )
     return InductionReport(

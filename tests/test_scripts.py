@@ -152,3 +152,13 @@ def test_count_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys)
     assert count_code_lines.count(tmp_path) == {"mod.py": 6, "sub/one.py": 1}
     assert count_code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "total"]
+
+
+@pytest.mark.parametrize("path", ["no/such/dir", "mod.py"])
+def test_count_code_lines_rejects_a_path_that_is_not_a_directory(tmp_path, capsys, path):
+    count_code_lines = _load("count_code_lines")
+    (tmp_path / "mod.py").write_text("x = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        count_code_lines.main([str(tmp_path / path)])
+    assert exc.value.code == 2
+    assert "not a directory" in capsys.readouterr().err

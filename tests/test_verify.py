@@ -72,6 +72,15 @@ def test_run_suite_rejects_a_non_integer_seed(seed):
         run_suite("identities", (4, 4), seed=seed)
 
 
+@pytest.mark.parametrize("budget", ["x", None, 5])
+def test_run_suite_rejects_a_non_budget_before_any_check(monkeypatch, budget):
+    calls = []
+    monkeypatch.setitem(SUITES, "identities", lambda *args: calls.append(args) or iter(()))
+    with pytest.raises(ValueError, match="budget must be a Budget"):
+        run_suite("identities", (8, 8), budget=budget)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "name,n_range",
     [

@@ -9,6 +9,7 @@ cannot pass silently."""
 import dataclasses
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,52 @@ def test_phi_coordinate_verdicts_match_the_oracle_on_a_mutant(
         fails_four = four_term_failures(n)
         assert fails_four == _polynomial_four_term_failures(n)
         assert fails and fails_four
+
+
+def _sorted_key_phi_vector(phi_terms):
+    """``_phi_vector`` as it was before it read a certified basis: it
+    sorts each triple.  Kept as the oracle of the basis lookup."""
+    vec = {}
+    for t, sign in phi_terms:
+        key = tuple(sorted(t))
+        vec[key] = vec.get(key, 0) + sign
+    return {key: c for key, c in vec.items() if c}
+
+
+def _four_term_sums(n):
+    """The 16 (triple, sign) pairs of each tuple ``four_term_failures``
+    reads."""
+    pool = range(1, n)
+    for j, l in itertools.combinations(pool, 2):
+        rest = [x for x in pool if x not in (j, l)]
+        for i, k, m in itertools.permutations(rest, 3):
+            yield (
+                *versal._quadric_phi_terms(i, j, l, k, m),
+                *((t, -sign) for t, sign in versal._quadric_phi_terms(n, j, l, k, m)),
+                *((t, -sign) for t, sign in versal._quadric_phi_terms(k, j, l, i, n)),
+                *versal._quadric_phi_terms(m, j, l, i, n),
+            )
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_phi_basis_vectors_match_the_sorted_key_oracle(n):
+    basis = versal._phi_basis(n)
+    sums = [versal._quadric_phi_terms(*q) for q in quadric_index_set(n)]
+    if n >= 6:
+        sums.extend(_four_term_sums(n))
+    for terms in sums:
+        got = versal._phi_vector(basis, terms)
+        assert list(got.items()) == list(_sorted_key_phi_vector(terms).items())
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_phi_basis_maps_each_ordered_triple_to_its_sorted_triple(n):
+    basis = versal._phi_basis(n)
+    assert len(basis) == 6 * math.comb(n, 3)
+    assert set(basis) == set(itertools.permutations(range(1, n + 1), 3))
+    assert all(v == tuple(sorted(t)) for t, v in basis.items())
+    with pytest.raises(KeyError):
+        versal._phi_vector(basis, (((1, 2, 1), 1),))
 
 
 def test_identity_checkers_expand_no_quadric(monkeypatch):
@@ -466,19 +513,22 @@ def test_t2_certificate_fails_on_a_flipped_phi_sign(monkeypatch):
     before = base_quadric(*bad, n)
     monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
     assert base_quadric(*bad, n) != before
-    lower, upper = versal._t2_bounds(n, versal._phi_coordinates(n))
-    assert (lower, upper) == (t2_formula(n), t2_formula(n) + 3)
-    with pytest.raises(ValueError, match=f"lower bound {lower}, upper bound {upper}"):
+    lower, upper = t2_formula(n), t2_formula(n) + 3
+    bounds = f"lower bound {lower}, upper bound {upper}$"
+    vectors = versal._phi_coordinates(versal._phi_basis(n), n)
+    with pytest.raises(versal.CertificateError, match=bounds):
+        versal._bounded_rank(n, vectors, "T2")
+    with pytest.raises(ValueError, match=bounds):
         t2_dimension(n)
 
 
 def test_t2_certificate_fails_on_a_dropped_lead():
     n = 7
-    vectors = list(versal._phi_coordinates(n))
+    vectors = list(versal._phi_coordinates(versal._phi_basis(n), n))
     lead = max(vectors[0])
-    lower, upper = versal._t2_bounds(n, [v for v in vectors if max(v) != lead])
-    assert upper == t2_formula(n)
-    assert lower == upper - 1
+    upper = t2_formula(n)
+    with pytest.raises(versal.CertificateError, match=f"lower bound {upper - 1}, upper bound {upper}$"):
+        versal._bounded_rank(n, [v for v in vectors if max(v) != lead], "T2")
 
 
 def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
@@ -490,11 +540,27 @@ def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
 
     monkeypatch.setattr(versal, "_phi", merged)
     assert not phi_symmetry_failures(n)
-    assert not versal._phi_independent(n)
+    with pytest.raises(versal.CertificateError, match="not independent"):
+        versal._phi_basis(n)
     with pytest.raises(ValueError, match="not independent"):
         t2_dimension(n)
     with pytest.raises(versal.CertificateError, match="not independent"):
         base_equals_total(n)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda: t2_dimension(6),
+    lambda: quadric_symmetry_failures(6),
+    lambda: four_term_failures(6),
+    lambda: base_equals_total(6),
+])
+def test_every_phi_coordinate_reader_needs_the_certificate(monkeypatch, reader):
+    def refuse(n):
+        raise versal.CertificateError("refused")
+
+    monkeypatch.setattr(versal, "_phi_basis", refuse)
+    with pytest.raises(versal.CertificateError, match="refused"):
+        reader()
 
 
 def test_induction_checks_phi_independence_once_per_level(monkeypatch):
