@@ -601,7 +601,10 @@ def eliminate(
     budget: Budget = DEFAULT_BUDGET,
 ) -> Ideal:
     """Generators of the contraction to the subring without the dropped
-    variables, computed with a block elimination order."""
+    variables, computed with a block elimination order.  They come out
+    ascending in degrevlex on the subring: the reduced basis is ascending
+    in the block order, which compares two monomials free of the dropped
+    variables as degrevlex on the kept ones."""
     drop = tuple(drop_names)
     for n in drop:
         ideal.registry.position(n)
@@ -616,11 +619,9 @@ def eliminate(
         if any(v in drop_pos for v in p.variables()):
             continue
         terms = {
-            tuple(sorted((remap[v], e) for v, e in m)): c for m, c in p.terms.items()
+            tuple((remap[v], e) for v, e in m): c for m, c in p.terms.items()
         }
         out.append(Polynomial._raw(sub, terms))
-    pk = _Packing(DEGREVLEX, sub)
-    out.sort(key=lambda q: max(map(pk.encode, q.terms)))
     return Ideal(sub, out)
 
 

@@ -465,12 +465,20 @@ def four_term_failures(n: int) -> List[tuple]:
 
 def cocycle_failures(n: int) -> List[tuple]:
     """Violations of the four-index identity that makes the lifted
-    relation close up (every term cancels against another)."""
+    relation close up (every term cancels against another).
+
+    Checked once per relation quadruple (i, k, j, l), i < k and j < l,
+    the quadruples whose relations ``verify_flatness`` lifts, so the
+    a-coefficients are those of the same lift.  Every other ordered
+    tuple (i, j, k, l) is one of these with i and k, or j and l, or both
+    swapped.  Once phi is symmetric (``phi_symmetry_failures``), each
+    swap negates the identity term by term, so those tuples give the
+    same identity up to sign."""
     if n < 4:
         raise ValueError("need n >= 4")
     reg = base_registry(n)
     fails = []
-    for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
+    for i, k, j, l in _relation_quadruples(n):
         expr = sum_of_products(reg, (
             (-1, _av(reg, i, j), _phi(reg, i, k, l)),
             (1, _av(reg, i, j), _phi(reg, j, k, l)),
@@ -1361,8 +1369,7 @@ def nice_total_space_check(budget: Budget = DEFAULT_BUDGET) -> NiceFormulaReport
     {k, l} the complementary pair.  Check that the differences
     G_ij - G_il reproduce the family generators and that eliminating y
     recovers the family ideal."""
-    n = 4
-    reg = build_registry(nz=4, y=True, npairs=4)
+    reg = versal_registry(4)
     yv = Polynomial.var(reg, "y")
     g: Dict[tuple, Polynomial] = {}
     for i, j in itertools.combinations(range(1, 5), 2):
@@ -1381,8 +1388,7 @@ def nice_total_space_check(budget: Budget = DEFAULT_BUDGET) -> NiceFormulaReport
 
     differences_ok = True
     for (i, j, l) in family_index_set(4):
-        f = substitute(family_generator(i, j, l, 4), {}, target=reg)
-        if gsym(i, j) - gsym(i, l) != f:
+        if gsym(i, j) - gsym(i, l) != family_generator(i, j, l, 4):
             differences_ok = False
 
     eliminated = eliminate(Ideal(reg, list(g.values())), ["y"], budget)

@@ -35,6 +35,19 @@ def test_invariant_table_computes_t1_and_t2(invariant_table, capsys):
     assert [int(r[4]) for r in rows] == [0, 5, 14]
 
 
+@pytest.mark.parametrize("formula, col", [
+    ("minimal_generator_formula", "gens"),
+    ("linear_relation_formula", "rel rank"),
+])
+def test_invariant_table_fails_when_a_column_disagrees_with_its_formula(
+    invariant_table, monkeypatch, capsys, formula, col
+):
+    monkeypatch.setattr(invariant_table, formula, lambda n: -1)
+    assert invariant_table.main(["--upto", "5", "--skip-geometry"]) == 1
+    err = capsys.readouterr().err
+    assert f"n=4: {col} is" in err and f"n=5: {col} is" in err
+
+
 def test_run_suites_writes_and_diffs_reports(run_suites, tmp_path, capsys):
     first = tmp_path / "first"
     assert run_suites.main(["axes", "--out-dir", str(first)]) == 0
@@ -55,6 +68,24 @@ def test_run_suites_rejects_a_bad_budget_as_a_usage_error(run_suites, tmp_path, 
         run_suites.main(["axes", "--out-dir", str(out), *flag])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_run_suites_rejects_a_missing_baseline_before_any_suite(run_suites, tmp_path, capsys):
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        run_suites.main(["axes", "--out-dir", str(out), "--baseline", str(tmp_path / "none")])
+    assert exc.value.code == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_suites_notes_a_suite_missing_from_the_baseline(run_suites, tmp_path, capsys):
+    baseline = tmp_path / "baseline"
+    baseline.mkdir()
+    assert run_suites.main(
+        ["axes", "--out-dir", str(tmp_path / "reports"), "--baseline", str(baseline)]
+    ) == 0
+    assert "no baseline report" in capsys.readouterr().out
 
 
 def test_bench_grid_rejects_an_unknown_suite_before_any_cell(tmp_path, monkeypatch):

@@ -136,6 +136,115 @@ def test_cocycle_checker_catches_a_perturbed_phi(monkeypatch, fresh_caches):
     assert cocycle_failures(5)
 
 
+def _cocycle_terms(i, j, k, l):
+    """The eight (sign, pair, triple) products sign * a_pair * phi_triple
+    of the cocycle identity of the ordered tuple (i, j, k, l)."""
+    return (
+        (-1, (i, j), (i, k, l)), (1, (i, j), (j, k, l)),
+        (1, (i, l), (i, j, k)), (-1, (i, l), (j, l, k)),
+        (1, (k, j), (i, k, l)), (-1, (k, j), (i, j, l)),
+        (-1, (k, l), (i, j, k)), (1, (k, l), (i, j, l)),
+    )
+
+
+def _ordered_cocycle_failures(n):
+    """``cocycle_failures`` as it was before it read the relation
+    quadruples: it expands the identity of every ordered 4-tuple.  Kept
+    as the oracle of the once-per-quadruple verdict."""
+    reg = base_registry(n)
+    fails = []
+    for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
+        expr = sum_of_products(reg, [
+            (c, versal._av(reg, *p), versal._phi(reg, *t)) for c, p, t in _cocycle_terms(i, j, k, l)
+        ])
+        if not expr.is_zero():
+            fails.append((i, j, k, l))
+    return fails
+
+
+def _quadruple_tuple(i, j, k, l):
+    """The tuple (i, j, k, l) of the relation quadruple whose identity
+    the ordered tuple gives up to sign, and that sign."""
+    sign = (-1 if i > k else 1) * (-1 if j > l else 1)
+    return (min(i, k), min(j, l), max(i, k), max(j, l)), sign
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_cocycle_expands_one_identity_per_relation_quadruple(monkeypatch, n):
+    calls = []
+    original = versal.sum_of_products
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(versal, "sum_of_products", counting)
+    assert cocycle_failures(n) == []
+    assert len(calls) == math.comb(n, 2) * math.comb(n - 2, 2) == {4: 6, 5: 30, 6: 90, 7: 210}[n]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_every_ordered_cocycle_is_its_quadruples_up_to_sign(n):
+    """With a_qp = -a_pq and phi keyed by its sorted triple, the eight
+    products of every ordered tuple are pairwise distinct and equal, up
+    to one sign, those of its relation quadruple."""
+
+    def signed(i, j, k, l):
+        keys = {}
+        for c, (p, q), t in _cocycle_terms(i, j, k, l):
+            keys[((min(p, q), max(p, q)), tuple(sorted(t)))] = c if p < q else -c
+        assert len(keys) == 8
+        return keys
+
+    quads = {(i, j, k, l) for i, k, j, l in versal._relation_quadruples(n)}
+    seen = set()
+    for tup in itertools.permutations(range(1, n + 1), 4):
+        quad, sign = _quadruple_tuple(*tup)
+        assert quad in quads
+        seen.add(quad)
+        assert signed(*tup) == {key: sign * c for key, c in signed(*quad).items()}
+    assert seen == quads
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_cocycle_agrees_with_the_ordered_oracle(n):
+    assert cocycle_failures(n) == _ordered_cocycle_failures(n) == []
+
+
+@pytest.mark.parametrize("n, quads", [(5, 12), (6, 18)])
+def test_cocycle_fails_the_quadruples_of_the_oracle_under_a_symmetric_mutant(
+    monkeypatch, fresh_caches, n, quads
+):
+    original = versal._phi
+
+    def doubled(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if sorted((i, j, k)) == [1, 2, 3] else p
+
+    monkeypatch.setattr(versal, "_phi", doubled)
+    assert phi_symmetry_failures(n) == []
+    oracle = _ordered_cocycle_failures(n)
+    fails = cocycle_failures(n)
+    assert len(fails) == quads and len(oracle) == 4 * quads
+    assert set(fails) == {_quadruple_tuple(*tup)[0] for tup in oracle}
+
+
+def test_cocycle_skips_an_ordering_no_quadruple_reads(monkeypatch, fresh_caches):
+    """phi doubled at (3, 2, 1) alone, an ordering that no relation
+    quadruple reads: the ordered oracle and the symmetry check fail, the
+    once-per-quadruple checker does not."""
+    original = versal._phi
+
+    def doubled(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if (i, j, k) == (3, 2, 1) else p
+
+    monkeypatch.setattr(versal, "_phi", doubled)
+    assert _ordered_cocycle_failures(5)
+    assert cocycle_failures(5) == []
+    assert phi_symmetry_failures(5)
+
+
 def test_quadric_checkers_catch_a_flipped_phi_sign(monkeypatch, fresh_caches):
     original = versal._quadric_phi_terms
 
