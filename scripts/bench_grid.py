@@ -129,6 +129,8 @@ def main(argv=None) -> int:
         ap.error(f"need 4 <= --from <= --to, got {args.lo}, {args.hi}")
     if args.repeats < 1:
         ap.error(f"need --repeats >= 1, got {args.repeats}")
+    if not args.label or os.sep in args.label:
+        ap.error(f"--label must be a nonempty name without a path separator, got {args.label!r}")
     srcs = args.src or [ROOT / "src"]
     sides = args.side or ["change"]
     if len(srcs) != len(sides) or len(set(sides)) != len(sides):

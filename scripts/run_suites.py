@@ -5,8 +5,8 @@ Writes one report per suite into the output directory and prints a
 summary table.  With --baseline pointing at a directory produced by an
 earlier run, status changes are diffed and any regression (a check
 moving away from PASS) fails the run.  A --baseline that is not a
-directory is a usage error; a suite with no report in it is noted and
-not diffed.
+directory is a usage error, and so is an --out-dir that exists and is
+not a directory; a suite with no report in it is noted and not diffed.
 
 Typical use:
 
@@ -62,6 +62,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error(f"unknown suites: {', '.join(unknown)}")
     if args.baseline is not None and not args.baseline.is_dir():
         parser.error(f"--baseline {args.baseline} is not a directory")
+    if args.out_dir.exists() and not args.out_dir.is_dir():
+        parser.error(f"--out-dir {args.out_dir} is not a directory")
     try:
         budget = Budget(max_pairs=args.spair_budget, max_terms=args.term_budget)
     except ValueError as exc:

@@ -79,6 +79,16 @@ def test_run_suites_rejects_a_missing_baseline_before_any_suite(run_suites, tmp_
     assert not out.exists()
 
 
+def test_run_suites_rejects_an_out_dir_that_is_a_file(run_suites, tmp_path, capsys):
+    out = tmp_path / "reports"
+    out.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        run_suites.main(["axes", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_run_suites_notes_a_suite_missing_from_the_baseline(run_suites, tmp_path, capsys):
     baseline = tmp_path / "baseline"
     baseline.mkdir()
@@ -94,6 +104,21 @@ def test_bench_grid_rejects_an_unknown_suite_before_any_cell(tmp_path, monkeypat
     with pytest.raises(SystemExit) as exc:
         bench_grid.main(["--suite", "nosuch", "--from", "4", "--to", "4", "--label", "smoke"])
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", ["", "../../nonexist/x", "a/b"])
+def test_bench_grid_rejects_a_label_with_a_path_separator_before_any_cell(
+    tmp_path, monkeypatch, label
+):
+    bench_grid = _load("bench_grid")
+    monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)
+    cells = []
+    monkeypatch.setattr(bench_grid, "run_cell", lambda *args: cells.append(args))
+    with pytest.raises(SystemExit) as exc:
+        bench_grid.main(["--suite", "identities", "--from", "4", "--to", "4", "--label", label])
+    assert exc.value.code == 2
+    assert cells == []
     assert list(tmp_path.iterdir()) == []
 
 

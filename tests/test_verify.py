@@ -127,7 +127,9 @@ def test_injected_failure_details_are_truncated(monkeypatch):
 def test_uncertified_rank_fails_its_check_not_the_suite(monkeypatch, capsys):
     """A phi-coordinate rank certificate whose bounds do not meet is a
     FAIL naming both bounds; the other checks still run, and the CLI
-    exits 1 (a check failed), not 2 (a usage error)."""
+    exits 1 (a check failed), not 2 (a usage error).  A flipped quadric
+    outside the induction's systems is caught by ``t2-dimension`` alone;
+    a quadric dropped from the minimal system fails the induction."""
     from versaldef.cli import main
 
     n = 7
@@ -138,16 +140,25 @@ def test_uncertified_rank_fails_its_check_not_the_suite(monkeypatch, capsys):
         (t, sign), *rest = original(*q)
         return ((t, -sign), *rest) if q == bad else original(*q)
 
-    monkeypatch.setattr(versal, "_quadric_phi_terms", flipped)
-    rep = run_suite("t1t2", (n, n))
-    by_id = {c.id: c for c in rep.checks}
-    assert by_id[f"t2-dimension-n{n}"].status == FAIL
-    assert "lower bound 28, upper bound 31" in by_id[f"t2-dimension-n{n}"].details
-    assert [c.status for c in rep.checks if c.anchor != "t2-dimension"] == [PASS] * 3
+    with monkeypatch.context() as patch:
+        patch.setattr(versal, "_quadric_phi_terms", flipped)
+        rep = run_suite("t1t2", (n, n))
+        by_id = {c.id: c for c in rep.checks}
+        assert by_id[f"t2-dimension-n{n}"].status == FAIL
+        assert "lower bound 28, upper bound 31" in by_id[f"t2-dimension-n{n}"].details
+        assert [c.status for c in rep.checks if c.anchor != "t2-dimension"] == [PASS] * 3
+        assert run_suite("induction", (n, n)).checks[0].status == PASS
+        assert main(["verify", "t1t2", "--n", str(n), str(n)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    minimal = versal._minimal_phi_terms
+    monkeypatch.setattr(
+        versal, "_minimal_phi_terms", lambda m: minimal(m)[1:] if m == n else minimal(m)
+    )
     induction = run_suite("induction", (n, n)).checks[0]
     assert induction.status == FAIL
-    assert "T2 rank not certified, lower bound 28, upper bound 31" in induction.details
-    assert main(["verify", "t1t2", "--n", str(n), str(n)]) == 1
+    assert "target rank not certified, lower bound 27, upper bound 28" in induction.details
+    assert main(["verify", "induction", "--n", str(n), str(n)]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -655,6 +655,7 @@ def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
         t2_dimension(n)
     with pytest.raises(versal.CertificateError, match="not independent"):
         base_equals_total(n)
+    assert _outcome(base_equals_total, n) == _outcome(_five_pass_base_equals_total, n)
 
 
 @pytest.mark.parametrize("reader", [
@@ -756,9 +757,97 @@ def test_induction_catches_a_flipped_generator_term(monkeypatch):
 
     monkeypatch.setattr(versal, "_family_gen", flipped)
     rep = base_equals_total(n)
+    assert dataclasses.asdict(rep) == _outcome(_five_pass_base_equals_total, n)
     assert not rep.substitution_matches
     assert rep.mismatches == ((1, 2, 3, 4),)
     assert not rep.ok
+
+
+def _five_pass_base_equals_total(n):
+    """``base_equals_total`` as it was while it also ranked the union of
+    the combined and the target system and every base quadric (T2).
+    Kept as the oracle of the three-pass step."""
+    if n < 5:
+        raise ValueError("need n >= 5")
+    prev = n - 1
+    breg = base_registry(n)
+    prev_basis, basis = versal._phi_basis(prev), versal._phi_basis(n)
+    assign = {f"z{m}": versal._av(breg, m, n) for m in range(1, n)}
+
+    substituted = []
+    mismatches = []
+    for (i, j, l) in family_index_set(prev):
+        k = canonical_fourth_index(i, j, l, prev)
+        s = substitute(family_generator(i, j, l, prev), assign, target=breg)
+        if s != versal._quadric(breg, i, j, l, n, k):
+            mismatches.append((i, j, l, k))
+        substituted.append(versal._phi_vector(basis, versal._quadric_phi_terms(i, j, l, n, k)))
+
+    carried = [versal._phi_vector(prev_basis, q) for q in versal._minimal_phi_terms(prev)]
+    target = [versal._phi_vector(basis, q) for q in versal._minimal_phi_terms(n)]
+    combined = carried + substituted
+    bounded = versal._bounded_rank
+    carried_rank = bounded(prev, carried, "carried")
+    combined_rank = bounded(n, combined, "combined")
+    new_rank = combined_rank - carried_rank
+    expected_new = n * (n - 3) // 2
+    target_rank = bounded(n, target, "target")
+    eq = combined_rank == target_rank == bounded(n, combined + target, "combined and target")
+    ok = (
+        not mismatches
+        and new_rank == expected_new
+        and combined_rank == bounded(n, versal._phi_coordinates(basis, n), "T2")
+        and eq
+    )
+    return versal.InductionReport(
+        n=n,
+        substitution_matches=not mismatches,
+        mismatches=tuple(mismatches),
+        carried_rank=carried_rank,
+        combined_rank=combined_rank,
+        new_rank=new_rank,
+        expected_new_rank=expected_new,
+        ideal_equal_ok=eq,
+        ok=ok,
+    )
+
+
+def _outcome(step, n):
+    """The report of ``step(n)`` as a dict of its fields, or the type and
+    message of the error it raises."""
+    try:
+        return dataclasses.asdict(step(n))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_induction_agrees_with_the_five_pass_oracle(n):
+    outcome = _outcome(base_equals_total, n)
+    assert outcome == _outcome(_five_pass_base_equals_total, n)
+    assert outcome["ok"]
+
+
+def test_induction_ranks_only_the_systems_it_builds(monkeypatch):
+    """No rank of the union of the combined and the target system, and
+    none of the base quadrics outside the step's systems."""
+    n = 7
+    ranked = []
+    original = versal._bounded_rank
+
+    def recording(m, vectors, what):
+        vectors = list(vectors)
+        ranked.append((m, what, len(vectors)))
+        return original(m, vectors, what)
+
+    monkeypatch.setattr(versal, "_bounded_rank", recording)
+    assert base_equals_total(n).ok
+    carried = len(versal._minimal_phi_terms(n - 1))
+    assert ranked == [
+        (n - 1, "carried", carried),
+        (n, "combined", carried + len(family_index_set(n - 1))),
+        (n, "target", len(versal._minimal_phi_terms(n))),
+    ]
 
 
 @pytest.mark.parametrize("level,what", [(0, "target"), (1, "carried")])
@@ -773,6 +862,7 @@ def test_induction_certificate_fails_on_a_dropped_minimal_quadric(monkeypatch, l
         versal, "_minimal_phi_terms", lambda m: original(m)[1:] if m == dropped else original(m)
     )
     match = f"n={dropped}: {what} rank not certified, lower bound {size - 1}, upper bound {size}"
+    assert _outcome(base_equals_total, n) == _outcome(_five_pass_base_equals_total, n)
     with pytest.raises(versal.CertificateError, match=match):
         base_equals_total(n)
 
@@ -828,8 +918,8 @@ def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
 def test_induction_eliminates_no_quadric(monkeypatch):
     """Every row eliminated during the induction step is an incidence
     functional keyed by sorted triples: n - 1 for the carried rank and n
-    for each of the combined, target, combined-and-target and T2 ranks.
-    No quadric and no phi_abc is eliminated over the monomials."""
+    for each of the combined and target ranks.  No quadric and no
+    phi_abc is eliminated over the monomials."""
     from versaldef.linalg import Span, SparseEliminator
 
     n = 6
@@ -841,7 +931,7 @@ def test_induction_eliminates_no_quadric(monkeypatch):
     )
     report = base_equals_total(n)
     assert report.ok
-    assert len(rows) == len(keyed) == (n - 1) + 4 * n
+    assert len(rows) == len(keyed) == (n - 1) + 2 * n
     for row in keyed:
         assert all(len(key) == 3 and list(key) == sorted(set(key)) for key in row), row
         assert all(isinstance(t, int) for key in row for t in key), row
