@@ -4,9 +4,10 @@
 Writes one report per suite into the output directory and prints a
 summary table.  With --baseline pointing at a directory produced by an
 earlier run, status changes are diffed and any regression (a check
-moving away from PASS) fails the run.  A --baseline that is not a
-directory is a usage error, and so is an --out-dir that exists and is
-not a directory; a suite with no report in it is noted and not diffed.
+moving away from PASS, or a check that passed there and is missing
+now) fails the run.  A --baseline that is not a directory is a usage
+error, and so is an --out-dir that exists and is not a directory; a
+suite with no report in it is noted and not diffed.
 
 Typical use:
 
@@ -107,8 +108,7 @@ def main(argv=None) -> int:
                 print(f"{'':14s} new check {cid}")
             for cid in diff.removed:
                 print(f"{'':14s} removed check {cid}")
-            if diff.has_regression:
-                regressed += len(diff.regressions)
+            regressed += len(diff.regressions) + len(diff.lost)
 
     if regressed:
         print(f"{regressed} regression(s) against baseline")

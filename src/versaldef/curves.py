@@ -458,7 +458,9 @@ def elliptic_t1_formula(n: int, branches: int) -> int:
 
 
 def t2_formula(n: int) -> int:
-    """Dimension of the obstruction space for the n+1 generic lines."""
+    """C(n,3) - n, the paper's dim T2 for the n+1 generic lines: a
+    formula, not a computation of T2.  ``versal.t2_dimension`` certifies
+    it as the rank of the base quadrics only."""
     return n * (n + 1) * (n - 4) // 6
 
 

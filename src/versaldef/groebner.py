@@ -47,6 +47,7 @@ from .poly import (
     mono_degree,
     mono_lcm,
     mono_mul,
+    substitute,
     sum_of_products,
     weighted_degree,
 )
@@ -604,7 +605,8 @@ def eliminate(
     variables, computed with a block elimination order.  They come out
     ascending in degrevlex on the subring: the reduced basis is ascending
     in the block order, which compares two monomials free of the dropped
-    variables as degrevlex on the kept ones."""
+    variables as degrevlex on the kept ones.  ``substitute`` moves each
+    of them into the subring."""
     drop = tuple(drop_names)
     for n in drop:
         ideal.registry.position(n)
@@ -613,16 +615,11 @@ def eliminate(
     drop_pos = set(order.block)
     keep_names = [v.name for v in ideal.registry.vars if ideal.registry.position(v.name) not in drop_pos]
     sub = ideal.registry.restrict(keep_names)
-    remap = {ideal.registry.position(n): sub.position(n) for n in keep_names}
-    out = []
-    for p in gb.basis:
-        if any(v in drop_pos for v in p.variables()):
-            continue
-        terms = {
-            tuple((remap[v], e) for v, e in m): c for m, c in p.terms.items()
-        }
-        out.append(Polynomial._raw(sub, terms))
-    return Ideal(sub, out)
+    return Ideal(sub, [
+        substitute(p, {}, target=sub)
+        for p in gb.basis
+        if not any(v in drop_pos for v in p.variables())
+    ])
 
 
 def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:

@@ -27,8 +27,10 @@ exponent) pairs, sorted by position, with no zero exponents stored.
 Every product goes through one multiply-accumulate kernel,
 :func:`sum_of_products`, which expands a sum c1*p1*q1 + c2*p2*q2 + ...
 into a single term dict without building any intermediate polynomial;
-``p * q`` is its one-product case, and :func:`substitute` sums its
-expanded terms with one call.
+``p * q`` is its one-product case.  :func:`substitute` is the one
+change-of-ring path (a substitution, or a renaming into another
+registry): it hands every term's image factors to one kernel call, so
+a term of degree at most 2 builds no intermediate polynomial.
 """
 
 from __future__ import annotations
@@ -521,8 +523,11 @@ def substitute(
     ``assignment`` maps variable names of ``p``'s registry to polynomials
     over a common target registry.  Variables of ``p`` that are not
     assigned are mapped to the same-named variable of the target registry,
-    which must therefore contain them.  This is a ring homomorphism; the
-    result is fully expanded.
+    which must therefore contain them, so ``substitute(p, {}, target=sub)``
+    moves p into the registry ``sub``.  This is a ring homomorphism; the
+    result is fully expanded by one ``sum_of_products`` call, which takes
+    the image factors of each term: only the factors beyond a term's last
+    two are multiplied ahead.
     """
     if assignment:
         regs = {id(q.reg): q.reg for q in assignment.values()}
@@ -546,17 +551,18 @@ def substitute(
         values[pos] = q if sign == 1 else -q
 
     one = Polynomial.const(target, 1)
-    powers: dict = {}
     products = []
     for m, c in p.terms.items():
-        term = one
+        factors = [one, one]
         for v, e in m:
-            pw = powers.get((v, e))
-            if pw is None:
-                base = values[v] if v in values else Polynomial.var(target, p.reg.vars[v].name)
-                pw = powers[v, e] = base ** e
-            term = term * pw
-        products.append((c, term, one))
+            image = values.get(v)
+            if image is None:  # built once, so the result's monomials share its pairs
+                image = values[v] = Polynomial.var(target, p.reg.vars[v].name)
+            factors += [image] * e
+        head = factors[-2]
+        for f in factors[2:-2]:
+            head = f * head
+        products.append((c, head, factors[-1]))
     return sum_of_products(target, products)
 
 

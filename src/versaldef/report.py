@@ -134,12 +134,15 @@ class Report:
 class ReportComparison:
     """Status changes between two runs of the same suite.  A check that
     went from PASS to anything else is a regression; one that went from
-    non-PASS to PASS is an improvement."""
+    non-PASS to PASS is an improvement.  ``lost`` holds the removed
+    checks that passed in the old run; each also counts against the new
+    run in ``has_regression``."""
 
     suite: str
     changed: tuple
     added: tuple
     removed: tuple
+    lost: tuple
 
     @property
     def regressions(self) -> tuple:
@@ -151,7 +154,7 @@ class ReportComparison:
 
     @property
     def has_regression(self) -> bool:
-        return bool(self.regressions)
+        return bool(self.regressions or self.lost)
 
 
 def compare_reports(old: Report, new: Report) -> ReportComparison:
@@ -168,6 +171,7 @@ def compare_reports(old: Report, new: Report) -> ReportComparison:
     )
     added = tuple(cid for cid in new_by_id if cid not in old_by_id)
     removed = tuple(cid for cid in old_by_id if cid not in new_by_id)
+    lost = tuple(cid for cid in removed if old_by_id[cid].status == PASS)
     return ReportComparison(
-        suite=old.suite, changed=changed, added=added, removed=removed
+        suite=old.suite, changed=changed, added=added, removed=removed, lost=lost
     )

@@ -14,11 +14,12 @@ Every linear statement about the phi_abc is decided in those
 phi-coordinates, under one certificate: phi is symmetric and the phi_abc
 are independent.  The certificate, ``_phi_basis``, returns the map
 from ordered to sorted triples that every coordinate is read through,
-so no coordinate is read without it.  The rank of the obstruction
-space, the ranks of the systems the induction step builds (carried,
+so no coordinate is read without it.  The rank of the base quadrics,
+the ranks of the systems the induction step builds (carried,
 combined and minimal, each with rank bounds that meet) and the
 antisymmetry and four-term identities of the quadrics are read that
-way, with no quadric expanded or eliminated.
+way, with no quadric expanded or eliminated; the induction step runs
+the certificate once, at its level n.
 """
 
 from __future__ import annotations
@@ -387,7 +388,8 @@ def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) ->
 
 def t2_dimension(n: int) -> int:
     """Rank of the full base-quadric family inside the space of
-    quadratic monomials (the obstruction-space dimension).
+    quadratic monomials.  The paper gives this number as dim T2; no
+    computation of T2 backs that reading here, so it is only the rank.
 
     The rank is certified from the phi-coordinates of the quadrics, not
     by eliminating them: the phi_abc are independent, the n incidence
@@ -404,13 +406,13 @@ def t2_dimension(n: int) -> int:
 
 
 def phi_symmetry_failures(n: int) -> List[tuple]:
-    """Triples where some permutation of phi's indices changes it."""
+    """Orderings of a triple a < b < c whose phi differs from phi_abc;
+    the sorted ordering itself is not compared."""
+    reg = base_registry(n)
     fails = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        ref = phi(i, j, k, n)
-        for p in itertools.permutations((i, j, k)):
-            if phi(p[0], p[1], p[2], n) != ref:
-                fails.append(p)
+    for t in itertools.combinations(range(1, n + 1), 3):
+        ref = _phi(reg, *t)
+        fails.extend(p for p in itertools.permutations(t) if p != t and _phi(reg, *p) != ref)
     return fails
 
 
@@ -809,11 +811,17 @@ def base_equals_total(n: int) -> InductionReport:
 
     Each substituted generator is checked literally against its base
     quadric, so every system here is a signed sum of phi_abc and its
-    rank is read from phi-coordinates: ``_phi_basis`` certifies the
-    phi_abc independent once per level, and each rank is
-    ``_bounded_rank``; no quadric is eliminated.  Only the systems the
-    step builds are ranked: the carried system, V = carried +
-    substituted, and the minimal system W.  The degree-2 part of an
+    rank is read from phi-coordinates: ``_phi_basis(n)`` certifies the
+    phi_abc independent once, at level n, and each rank is
+    ``_bounded_rank``; no quadric is eliminated.  The carried system is
+    read through the level-n basis too: the maps of the two levels agree
+    on every triple inside 1..n-1, and ``base_registry(n - 1)`` embeds
+    by name into ``base_registry(n)``, sending each phi_abc to the
+    phi_abc of the same triple.  An injective linear map keeps
+    independence, so the level-n certificate covers the carried phi_abc
+    and keeps their ranks.  Only the systems the step builds are ranked:
+    the carried system, V = carried + substituted, and the minimal
+    system W.  The degree-2 part of an
     ideal generated by quadrics is their span, so V generates the ideal
     of W exactly when their spans are equal, and here equal certified
     ranks suffice.  W has C(n,3) - n vectors, so its lower bound is at
@@ -828,7 +836,7 @@ def base_equals_total(n: int) -> InductionReport:
         raise ValueError("need n >= 5")
     prev = n - 1
     breg = base_registry(n)
-    prev_basis, basis = _phi_basis(prev), _phi_basis(n)
+    basis = _phi_basis(n)
     assign = {f"z{m}": _av(breg, m, n) for m in range(1, n)}
 
     substituted = []
@@ -840,7 +848,7 @@ def base_equals_total(n: int) -> InductionReport:
             mismatches.append((i, j, l, k))
         substituted.append(_phi_vector(basis, _quadric_phi_terms(i, j, l, n, k)))
 
-    carried = [_phi_vector(prev_basis, q) for q in _minimal_phi_terms(prev)]
+    carried = [_phi_vector(basis, q) for q in _minimal_phi_terms(prev)]
     target = [_phi_vector(basis, q) for q in _minimal_phi_terms(n)]
     combined = carried + substituted
     carried_rank = _bounded_rank(prev, carried, "carried")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from versaldef import groebner
+from versaldef import curves, groebner
 from versaldef.groebner import (
     Budget,
     BudgetExceeded,
@@ -111,6 +111,47 @@ def test_eliminate_sorts_generators_ascending():
     pk = _Packing(DEGREVLEX, out.registry)
     leads = [max(map(pk.encode, p.terms)) for p in out.generators]
     assert len(leads) > 1 and leads == sorted(leads)
+
+
+def _remap_eliminate(ideal, drop):
+    """``eliminate`` as it was with a monomial remap of its own, kept as
+    the oracle of its ``substitute`` path."""
+    order = block_order(ideal.registry, drop)
+    gb = buchberger(ideal, order)
+    drop_pos = set(order.block)
+    keep_names = [v.name for v in ideal.registry.vars if ideal.registry.position(v.name) not in drop_pos]
+    sub = ideal.registry.restrict(keep_names)
+    remap = {ideal.registry.position(n): sub.position(n) for n in keep_names}
+    out = []
+    for p in gb.basis:
+        if any(v in drop_pos for v in p.variables()):
+            continue
+        terms = {tuple((remap[v], e) for v, e in m): c for m, c in p.terms.items()}
+        out.append(Polynomial._raw(sub, terms))
+    return Ideal(sub, out)
+
+
+def _kernel_input(kind, n):
+    reg = build_registry(nz=n, t=True)
+    tvar = Polynomial.var(reg, "t")
+    exps = curves.monomial_semigroup(kind, n)
+    return Ideal(reg, [Polynomial.var(reg, f"z{m}") - tvar ** e for m, e in enumerate(exps, 1)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("case", ["lines", curves.MONOMIAL_ELLIPTIC, curves.MONOMIAL_RATIONAL])
+def test_eliminate_agrees_with_the_remap_oracle(case, n):
+    """Same subring, same generators in the same order, each with its
+    terms in the same order."""
+    if case == "lines":
+        ideal, drop = curves.lines_ideal(n, curves.G_FORM), ["y"]
+    else:
+        ideal, drop = _kernel_input(case, n), ["t"]
+    out, oracle = eliminate(ideal, drop), _remap_eliminate(ideal, drop)
+    assert out.registry == oracle.registry
+    assert [list(p.terms.items()) for p in out.generators] == [
+        list(p.terms.items()) for p in oracle.generators
+    ]
 
 
 def test_eliminate_rejects_unknown_variable():

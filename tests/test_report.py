@@ -82,6 +82,18 @@ def test_compare_reports_skip_counts_as_regression():
     assert compare_reports(old, new).has_regression
 
 
+def test_compare_reports_counts_a_missing_passing_check_as_regression():
+    old = _report("identities", [_check("a"), _check("gone"), _check("failed", FAIL)])
+    new = _report("identities", [_check("a")])
+    cmp = compare_reports(old, new)
+    assert cmp.changed == () and cmp.regressions == ()
+    assert cmp.removed == ("gone", "failed")
+    assert cmp.lost == ("gone",)
+    assert cmp.has_regression
+    # a check that did not pass may go missing without a regression
+    assert not compare_reports(_report("identities", [_check("failed", FAIL)]), new).has_regression
+
+
 def test_compare_reports_rejects_different_suites():
     with pytest.raises(ValueError):
         compare_reports(_report("identities", []), _report("counts", []))

@@ -61,6 +61,21 @@ def test_run_suites_writes_and_diffs_reports(run_suites, tmp_path, capsys):
     assert "regression" not in capsys.readouterr().out
 
 
+def test_run_suites_fails_when_a_passing_baseline_check_is_missing(run_suites, tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run_suites.main(["axes", "--out-dir", str(first)]) == 0
+    path = first / "axes.json"
+    report = json.loads(path.read_text())
+    report["checks"].append(dict(report["checks"][0], id="vanished", status="PASS"))
+    path.write_text(json.dumps(report))
+    assert run_suites.main(
+        ["axes", "--out-dir", str(tmp_path / "second"), "--baseline", str(first)]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "removed check vanished" in out
+    assert "1 regression(s) against baseline" in out
+
+
 @pytest.mark.parametrize("flag", [["--spair-budget", "0"], ["--term-budget", "-1"]])
 def test_run_suites_rejects_a_bad_budget_as_a_usage_error(run_suites, tmp_path, flag):
     out = tmp_path / "reports"

@@ -245,6 +245,24 @@ def test_cocycle_skips_an_ordering_no_quadruple_reads(monkeypatch, fresh_caches)
     assert phi_symmetry_failures(5)
 
 
+@pytest.mark.parametrize("where,expected", [
+    ((3, 2, 1), [(3, 2, 1)]),
+    ((1, 2, 3), [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]),
+])
+def test_phi_symmetry_failures_under_a_doubled_ordering(monkeypatch, fresh_caches, where, expected):
+    """phi doubled at one ordering: the failures are that ordering, or
+    every other ordering when the doubled one is the sorted reference.
+    Both lists are the ones the public-``phi`` checker gave."""
+    original = versal._phi
+
+    def doubled(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if (i, j, k) == where else p
+
+    monkeypatch.setattr(versal, "_phi", doubled)
+    assert phi_symmetry_failures(5) == expected
+
+
 def test_quadric_checkers_catch_a_flipped_phi_sign(monkeypatch, fresh_caches):
     original = versal._quadric_phi_terms
 
@@ -655,7 +673,10 @@ def test_t2_certificate_fails_on_dependent_phis(monkeypatch):
         t2_dimension(n)
     with pytest.raises(versal.CertificateError, match="not independent"):
         base_equals_total(n)
-    assert _outcome(base_equals_total, n) == _outcome(_five_pass_base_equals_total, n)
+    # the step runs the certificate at level n only, the oracle at n - 1 first
+    kind, message = _outcome(base_equals_total, n)
+    assert kind is _outcome(_five_pass_base_equals_total, n)[0]
+    assert message.startswith(f"n={n}: the phi_abc are not independent")
 
 
 @pytest.mark.parametrize("reader", [
@@ -674,7 +695,8 @@ def test_every_phi_coordinate_reader_needs_the_certificate(monkeypatch, reader):
 
 
 def test_induction_checks_phi_independence_once_per_level(monkeypatch):
-    """Once at n - 1 and once at n."""
+    """Once, at n: the level n - 1 ring embeds by name into the level n
+    ring, so the level-n certificate covers the carried system."""
     calls = []
     original = versal.phi_symmetry_failures
 
@@ -683,8 +705,33 @@ def test_induction_checks_phi_independence_once_per_level(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(versal, "phi_symmetry_failures", counting)
+    bases = []
+    original_basis = versal._phi_basis
+    monkeypatch.setattr(versal, "_phi_basis", lambda n: bases.append(n) or original_basis(n))
     assert base_equals_total(6).ok
-    assert sorted(calls) == [5, 6]
+    assert calls == [6]
+    assert bases == [6]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_induction_substitution_multiplies_nothing(monkeypatch, n):
+    """The family generators have degree 2 and z_m -> a_mn maps each
+    variable to one variable, so every term goes to the kernel as its
+    two image factors, with no product built ahead."""
+    breg = base_registry(n)
+    assign = {f"z{m}": versal._av(breg, m, n) for m in range(1, n)}
+    gens = [family_generator(i, j, l, n - 1) for (i, j, l) in family_index_set(n - 1)]
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for g in gens:
+        substitute(g, assign, target=breg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [5, 6])
