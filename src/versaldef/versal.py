@@ -6,9 +6,10 @@ out by the generators F produced by ``family_generator`` and its base
 space by the quadrics built from the fully symmetric expressions
 phi_ijk = a_ij*a_ik + a_ji*a_jk + a_ki*a_kj.  All verification here is
 exact: first-order deformations are solved as rational linear systems,
-flatness is certified by reducing each lifted relation to zero against
-a Groebner basis of the base ideal, and the explicit smoothings and
-monomial-curve families are checked generator by generator.  Every base
+flatness is certified by explicit cofactors (each lifted relation equals
+a sum of variables times base quadrics, term by term, with no Groebner
+basis), and the explicit smoothings and monomial-curve families are
+checked generator by generator.  Every base
 quadric is built from its (triple, sign) pairs, a signed sum of phi_abc.
 Every linear statement about the phi_abc is decided in those
 phi-coordinates, under one certificate: phi is symmetric and the phi_abc
@@ -16,10 +17,11 @@ are independent.  The certificate, ``_phi_basis``, returns the map
 from ordered to sorted triples that every coordinate is read through,
 so no coordinate is read without it.  The rank of the base quadrics,
 the ranks of the systems the induction step builds (carried,
-combined and minimal, each with rank bounds that meet) and the
+combined and minimal, each with rank bounds that meet), the minimal
+rank and the incidence sums behind the flatness cofactors, and the
 antisymmetry and four-term identities of the quadrics are read that
-way, with no quadric expanded or eliminated; the induction step runs
-the certificate once, at its level n.
+way, with no quadric eliminated; the induction step and the flatness
+check each run the certificate once, at their level n.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
     Ideal,
-    block_order,
     buchberger,
     eliminate,
     ideal_equal,
@@ -722,10 +723,18 @@ def t1_compute(n: int) -> T1Result:
 
 @dataclass(frozen=True)
 class LiftCertificate:
+    """The lift of the relation of one quadruple (i, k, j, l).  Its
+    six-term combination equals the sum of sign * v * quadric over
+    ``cofactors``, each a (sign, v, quadric) tuple with v = (m,) for z_m
+    or (p, q) for a_pq and the quadric the 5-tuple of ``base_quadric``.
+    Only a failing certificate keeps polynomials: the combination and
+    its residual, the combination minus the cofactor sum."""
+
     quadruple: tuple
-    combination: Polynomial
-    residual: Polynomial
+    cofactors: tuple
     ok: bool
+    combination: Optional[Polynomial] = None
+    residual: Optional[Polynomial] = None
 
 
 @dataclass(frozen=True)
@@ -740,49 +749,68 @@ def _base_gb(n: int, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     return buchberger(base_ideal(n, minimal=True), budget=budget)
 
 
-@lru_cache(maxsize=None)
-def _mixed_base_gb(n: int, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
-    """The base Groebner basis transported into the full ring, under a
-    block order whose trailing block holds the parameters.  Leading
-    terms are untouched by the transport, so the basis property carries
-    over, and normal forms only ever rewrite parameter coefficients."""
-    vreg = versal_registry(n)
-    outer = [nm for nm in vreg.names if not nm.startswith("a_")]
-    order = block_order(vreg, outer)
-    gb = _base_gb(n, budget)
-    lifted = tuple(substitute(p, {}, target=vreg) for p in gb.basis)
-    return GroebnerBasis(registry=vreg, order=order, basis=lifted, stats=gb.stats)
+def _lift_terms(i: int, k: int, j: int, l: int) -> Tuple[tuple, ...]:
+    """The six products sign * v * F(x, y, w) of the lifted relation of
+    (i, k, j, l), each as (sign, v, (x, y, w), o) with its natural
+    auxiliary index o: k or i for the z-products, and the index of the
+    quadruple outside {x, y, w} for the a-products.  Built with o in
+    place of the canonical index, the six products cancel identically."""
+    return (
+        (1, (k,), (i, j, l), k), (-1, (i,), (k, j, l), i),
+        (-1, (i, j), (k, i, j), l), (1, (i, l), (k, i, l), j),
+        (1, (k, j), (i, k, j), l), (-1, (k, l), (i, k, l), j),
+    )
 
 
-def verify_flatness(n: int, budget: Budget = DEFAULT_BUDGET) -> FlatnessReport:
+def _multiplier(reg: VarRegistry, v: Tuple[int, ...]) -> Polynomial:
+    return _zv(reg, *v) if len(v) == 1 else _av(reg, *v)
+
+
+def _incidence_sums_vanish(basis: PhiBasis, quadric: tuple) -> bool:
+    vec = _phi_vector(basis, _quadric_phi_terms(*quadric))
+    return not any(sum(c for key, c in vec.items() if t in key) for t in quadric)
+
+
+def verify_flatness(n: int) -> FlatnessReport:
     """Lift every distinguished relation through the deformed
-    generators and reduce the obstruction against the base ideal.  For
-    n = 4 the base is empty and the combination must vanish literally.
-    """
+    generators and certify the obstruction with explicit cofactors.
+
+    F(x, y, w) with the canonical auxiliary index c differs from F with
+    any other index o by the base quadric (x, y, w, o, c)
+    (``family_k_change_failures``).  The six products of a relation
+    cancel when each takes its natural index (``_lift_terms``), so the
+    combination, built literally at level n, must equal the sum of
+    sign * v * quadric(x, y, w, o, c) over the products with c != o;
+    at n = 4 there are none and it vanishes.
+
+    Each cofactor quadric lies in the minimal base ideal by one
+    phi-coordinate certificate: ``_phi_basis(n)`` certifies the phi_abc
+    independent, and ``_bounded_rank`` certifies the rank of the minimal
+    system, which makes its span the common kernel of the incidence
+    functionals that vanish on it.  With C(n,3) - n vectors that rank is
+    C(n,3) - n and they are all n functionals (as in
+    ``base_equals_total``), so a quadric whose incidence sums all vanish
+    lies in the span.  No Groebner basis is read."""
     if n < 4:
         raise ValueError("need n >= 4")
     vreg = versal_registry(n)
-    gbx = _mixed_base_gb(n, budget)
-
-    def fgen(a: int, b: int, c: int) -> Polynomial:
-        return family_generator(a, b, c, n)
-
+    basis = _phi_basis(n)
+    _bounded_rank(n, (_phi_vector(basis, q) for q in _minimal_phi_terms(n)), "minimal")
     certs = []
-    all_ok = True
-    for (i, k, j, l) in _relation_quadruples(n):
-        comb = sum_of_products(vreg, (
-            (1, _zv(vreg, k), fgen(i, j, l)),
-            (-1, _zv(vreg, i), fgen(k, j, l)),
-            (-1, _av(vreg, i, j), fgen(k, i, j)),
-            (1, _av(vreg, i, l), fgen(k, i, l)),
-            (1, _av(vreg, k, j), fgen(i, k, j)),
-            (-1, _av(vreg, k, l), fgen(i, k, l)),
-        ))
-        residual = normal_form(comb, gbx, budget)
-        ok = residual.is_zero()
-        all_ok = all_ok and ok
-        certs.append(LiftCertificate((i, k, j, l), comb, residual, ok))
-    return FlatnessReport(n=n, certificates=tuple(certs), ok=all_ok)
+    for quadruple in _relation_quadruples(n):
+        products, cofactors = [], []
+        for sign, v, xyw, o in _lift_terms(*quadruple):
+            products.append((sign, _multiplier(vreg, v), family_generator(*xyw, n)))
+            c = canonical_fourth_index(*xyw, n)
+            if c != o:
+                cofactors.append((sign, v, (*xyw, o, c)))
+        residual = sum_of_products(vreg, products + [
+            (-sign, _multiplier(vreg, v), _quadric(vreg, *q)) for sign, v, q in cofactors
+        ])
+        ok = residual.is_zero() and all(_incidence_sums_vanish(basis, q) for _, _, q in cofactors)
+        failed = () if ok else (sum_of_products(vreg, products), residual)
+        certs.append(LiftCertificate(quadruple, tuple(cofactors), ok, *failed))
+    return FlatnessReport(n=n, certificates=tuple(certs), ok=all(c.ok for c in certs))
 
 
 # ---------------------------------------------------------------------------

@@ -52,21 +52,15 @@ def test_c03_t2_dimension():
 
 
 def test_c04_flatness():
-    with criterion(4, 300, "every relation lifts flatly (n = 4 literally, n = 5 modulo base)"):
+    with criterion(4, 300, "every relation lifts flatly (n = 4 literally, n = 5, 6 by base-quadric cofactors)"):
         rep4 = versal.verify_flatness(4)
         assert rep4.ok
-        assert all(c.combination.is_zero() for c in rep4.certificates)
+        assert all(not c.cofactors for c in rep4.certificates)
         rep5 = versal.verify_flatness(5)
         assert rep5.ok
-        assert all(c.residual.is_zero() for c in rep5.certificates)
-    # stretch case, skipped without failing if the budget runs out
-    try:
+        assert any(c.cofactors for c in rep5.certificates)
         rep6 = versal.verify_flatness(6)
-    except BudgetExceeded as e:
-        print(f"[criterion  4] SKIP  flatness at n = 6 hit its budget: {e}")
-    else:
-        assert rep6.ok
-        print(f"[criterion  4] PASS  flatness stretch case n = 6 ({len(rep6.certificates)} relations)")
+        assert rep6.ok, [c.quadruple for c in rep6.certificates if not c.ok]
 
 
 def test_c05_base_space_geometry():

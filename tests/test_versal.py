@@ -10,15 +10,16 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_verify import _record_buchberger
 
-from versaldef import versal
-from versaldef.curves import t2_formula
-from versaldef.groebner import Ideal, buchberger, ideal_equal, normal_form
+from versaldef import groebner, versal
+from versaldef.curves import _relation_quadruples, t2_formula
+from versaldef.groebner import GroebnerBasis, Ideal, block_order, buchberger, ideal_equal, normal_form
 from versaldef.poly import (
     Polynomial, build_registry, mono_degree, parse, substitute, sum_of_products,
 )
@@ -55,6 +56,7 @@ from versaldef.versal import (
     t1_compute,
     t2_dimension,
     verify_flatness,
+    versal_registry,
     wedge_a2_deformation,
 )
 
@@ -752,21 +754,166 @@ def test_minimal_system_empty_at_n4():
 # flatness
 
 
+def _combination(n, i, k, j, l):
+    """The six-term combination of the relation of (i, k, j, l), written
+    out with the canonical auxiliary indices."""
+    reg = versal_registry(n)
+    z, a = versal._zv, versal._av
+    return sum_of_products(reg, (
+        (1, z(reg, k), family_generator(i, j, l, n)),
+        (-1, z(reg, i), family_generator(k, j, l, n)),
+        (-1, a(reg, i, j), family_generator(k, i, j, n)),
+        (1, a(reg, i, l), family_generator(k, i, l, n)),
+        (1, a(reg, k, j), family_generator(i, k, j, n)),
+        (-1, a(reg, k, l), family_generator(i, k, l, n)),
+    ))
+
+
+def _generator_triples(i, k, j, l):
+    """The triples of the six generators the combination of (i, k, j, l)
+    reads, in the order of ``_combination``."""
+    return [(i, j, l), (k, j, l), (k, i, j), (k, i, l), (i, k, j), (i, k, l)]
+
+
+def _cofactor_sum(n, cert):
+    """The certificate's cofactors multiplied out: the sum of
+    sign * v * base quadric."""
+    reg = versal_registry(n)
+    total = Polynomial.zero(reg)
+    for sign, v, quadric in cert.cofactors:
+        name = f"z{v[0]}" if len(v) == 1 else f"a_{v[0]}_{v[1]}"
+        lifted = substitute(base_quadric(*quadric, n), {}, target=reg)
+        total = total + sign * parse(name, reg) * lifted
+    return total
+
+
+def _mixed_base_gb(n):
+    """The Groebner basis of the minimal base ideal transported into the
+    full ring, under a block order whose trailing block holds the
+    parameters.  Leading terms are untouched by the transport, so the
+    basis property carries over, and normal forms only ever rewrite
+    parameter coefficients."""
+    vreg = versal_registry(n)
+    outer = [nm for nm in vreg.names if not nm.startswith("a_")]
+    gb = versal._base_gb(n)
+    lifted = tuple(substitute(p, {}, target=vreg) for p in gb.basis)
+    return GroebnerBasis(registry=vreg, order=block_order(vreg, outer), basis=lifted, stats=gb.stats)
+
+
+def _groebner_lift_verdicts(n):
+    """The Groebner oracle: whether each quadruple's combination reduces
+    to zero modulo the transported base basis."""
+    gbx = _mixed_base_gb(n)
+    return {q: normal_form(_combination(n, *q), gbx).is_zero() for q in _relation_quadruples(n)}
+
+
+def _lift_verdicts(n):
+    return {c.quadruple: c.ok for c in verify_flatness(n).certificates}
+
+
 def test_flatness_n4_lifts_literally():
     rep = verify_flatness(4)
     assert rep.ok
     assert len(rep.certificates) == 6
     for cert in rep.certificates:
-        assert cert.combination.is_zero()
+        assert cert.cofactors == ()
+        assert _combination(4, *cert.quadruple).is_zero()
 
 
 def test_flatness_n5_reduces_to_zero():
     rep = verify_flatness(5)
     assert rep.ok
     assert len(rep.certificates) == 30
-    assert all(c.residual.is_zero() for c in rep.certificates)
+    for cert in rep.certificates:
+        assert cert.combination is None and cert.residual is None
+        assert _combination(5, *cert.quadruple) == _cofactor_sum(5, cert)
     # the base ideal does real work: some combination is nonzero upstairs
-    assert any(not c.combination.is_zero() for c in rep.certificates)
+    assert any(cert.cofactors for cert in rep.certificates)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_flatness_agrees_with_the_groebner_oracle(n):
+    verdicts = _lift_verdicts(n)
+    assert verdicts == _groebner_lift_verdicts(n)
+    assert all(verdicts.values())
+
+
+def test_flatness_fails_the_quadruples_of_a_perturbed_generator(monkeypatch, fresh_caches):
+    """A term added to F(1, 2, 9) at n=10, past any fixed small level,
+    fails exactly the quadruples whose six products use that generator,
+    each with the term, times its multiplier, as the residual."""
+    n, target = 10, (1, 2, 9)
+    original = versal._family_gen
+
+    def shifted(m, i, j, l, k):
+        p = original(m, i, j, l, k)
+        return p + parse("z9^2", p.reg) if (m, i, j, l) == (n, *target) else p
+
+    monkeypatch.setattr(versal, "_family_gen", shifted)
+    users = {q for q in _relation_quadruples(n) if target in _generator_triples(*q)}
+    rep = verify_flatness(n)
+    assert {c.quadruple for c in rep.certificates if not c.ok} == users
+    assert users and len(users) < len(rep.certificates)
+    assert _lift_verdicts(n) == _groebner_lift_verdicts(n)
+    for cert in rep.certificates:
+        if not cert.ok:
+            assert cert.combination == _combination(n, *cert.quadruple)
+            assert cert.residual == cert.combination - _cofactor_sum(n, cert)
+            assert len(cert.residual.terms) == 1
+
+
+def test_flatness_is_not_certified_without_a_minimal_quadric(monkeypatch, fresh_caches):
+    n = 7
+    original = versal._minimal_phi_terms
+    monkeypatch.setattr(versal, "_minimal_phi_terms", lambda m: original(m)[1:] if m == n else original(m))
+    (check,) = run_suite("flatness", (n, n)).checks
+    assert check.status == "FAIL"
+    assert check.details == f"n={n}: minimal rank not certified, lower bound 27, upper bound 28"
+    assert not all(_groebner_lift_verdicts(n).values())
+
+
+def test_flatness_fails_on_dependent_phis(monkeypatch, fresh_caches):
+    n = 6
+    original = versal._phi
+
+    def merged(reg, i, j, k):
+        return original(reg, 1, 2, 4) if sorted((i, j, k)) == [1, 2, 3] else original(reg, i, j, k)
+
+    monkeypatch.setattr(versal, "_phi", merged)
+    (check,) = run_suite("flatness", (n, n)).checks
+    assert check.status == "FAIL"
+    assert "not independent" in check.details
+    assert not all(_groebner_lift_verdicts(n).values())
+
+
+def test_flatness_fails_cofactor_quadrics_outside_the_minimal_span(monkeypatch):
+    """The cofactors still multiply out to the combinations, but their
+    phi-coordinates, phi_ijk - phi_ilk, have incidence sum 1 at k."""
+    terms = versal._quadric_phi_terms
+    monkeypatch.setattr(versal, "_quadric", lambda reg, *q: versal._phi_sum(reg, terms(*q)))
+    monkeypatch.setattr(versal, "_quadric_phi_terms", lambda i, j, l, k, m: terms(i, j, l, k, m)[:2])
+    rep = verify_flatness(5)
+    assert {c.quadruple for c in rep.certificates if not c.ok} == {
+        c.quadruple for c in rep.certificates if c.cofactors}
+    assert all(c.residual.is_zero() for c in rep.certificates if not c.ok)
+
+
+def test_flatness_reads_no_groebner_basis(monkeypatch, fresh_caches):
+    calls = Counter()
+    for mod in (groebner, versal):
+        for name in ("buchberger", "normal_form"):
+            original = getattr(mod, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+    assert verify_flatness(7).ok
+    assert calls == Counter()
+    # the wrappers do see the engine: the T1 conditions reduce modulo a basis
+    t1_compute(4)
+    assert calls["buchberger"] and calls["normal_form"]
 
 
 # ---------------------------------------------------------------------------
