@@ -26,7 +26,7 @@ from .groebner import (
     Ideal,
     eliminate,
 )
-from .linalg import Span
+from .linalg import SparseEliminator
 from .poly import Polynomial, VarRegistry, build_registry, mono_degree, sum_of_products
 
 __all__ = [
@@ -177,12 +177,19 @@ def axes_ideal(n: int) -> Ideal:
 class RelationFamily:
     """Syzygy vectors z_k(g_ij - g_il) - z_i(g_kj - g_kl) of the quadric
     presentation, indexed by quadruples of distinct indices, together
-    with the rank of their linear coefficient vectors, which is computed
-    on first read.
+    with a basis of their linear coefficient vectors and its size, the
+    rank, both computed once on first read.
 
     Each vector holds only its four nonzero slots, as a tuple of
     (slot, entry) pairs in ascending slot order; slot p is the
-    coefficient of the generator of pairs[p]."""
+    coefficient of the generator of pairs[p].
+
+    The basis is the vectors that raise the rank when the vectors are
+    ranked in order.  It is all that the first-order lifting needs: the
+    lifting conditions of a combination sum_t c_t*b_t of relation
+    vectors are the same combination of the conditions of each b_t,
+    because a normal form is linear, so the basis spans every condition
+    row the whole family gives."""
 
     n: int
     pairs: tuple
@@ -191,13 +198,22 @@ class RelationFamily:
     expected_rank: int
 
     @cached_property
-    def rank(self) -> int:
-        rows = [
-            {(pos, mono): c for pos, poly in vec for mono, c in poly.terms.items()}
+    def basis(self) -> tuple:
+        # columns in descending pair slot, so each row's lead is its last
+        # slot; which vectors raise the rank does not depend on the column
+        # order, only the fill-in does
+        nv = lines_registry(self.n).nvars
+        rows = (
+            {-(p * nv + mono[0][0]): c for p, entry in vec for mono, c in entry.terms.items()}
             for vec in self.vectors
-        ]
-        assert all(mono_degree(mono) == 1 for row in rows for _, mono in row)
-        return Span().add(rows)
+        )
+        assert all(mono_degree(m) == 1 for vec in self.vectors for _, e in vec for m in e.terms)
+        elim = SparseEliminator()
+        return tuple(vec for vec, row in zip(self.vectors, rows) if elim.add(row))
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
 
 def _relation_quadruples(n: int) -> List[Tuple[int, int, int, int]]:

@@ -521,30 +521,23 @@ def substitute(
     """Simultaneous substitution of polynomials for variables.
 
     ``assignment`` maps variable names of ``p``'s registry to polynomials
-    over a common target registry.  Variables of ``p`` that are not
-    assigned are mapped to the same-named variable of the target registry,
-    which must therefore contain them, so ``substitute(p, {}, target=sub)``
-    moves p into the registry ``sub``.  This is a ring homomorphism; the
-    result is fully expanded by one ``sum_of_products`` call, which takes
-    the image factors of each term: only the factors beyond a term's last
-    two are multiplied ahead.
+    over the target registry: ``target`` if given, else the registry of
+    the first value, else ``p``'s.  A value over any other registry, or
+    two names for one variable, raise ``ValueError``.  Variables of
+    ``p`` that are not assigned are mapped to the same-named variable of
+    the target registry, which must therefore contain them, so
+    ``substitute(p, {}, target=sub)`` moves p into the registry ``sub``.
+    This is a ring homomorphism; the result is fully expanded by one
+    ``sum_of_products`` call, which takes the image factors of each
+    term: only the factors beyond a term's last two are multiplied
+    ahead.
     """
-    if assignment:
-        regs = {id(q.reg): q.reg for q in assignment.values()}
-        if len(regs) > 1:
-            vals = list(regs.values())
-            if any(r != vals[0] for r in vals[1:]):
-                raise ValueError("assignment values live over different registries")
-        inferred = next(iter(regs.values()))
-        if target is None:
-            target = inferred
-        elif target != inferred:
-            raise ValueError("assignment values do not live over the target registry")
     if target is None:
-        target = p.reg
-
+        target = next(iter(assignment.values())).reg if assignment else p.reg
     values: dict = {}
     for name, q in assignment.items():
+        if q.reg is not target and q.reg != target:
+            raise ValueError(f"the value of {name!r} does not live over the target registry")
         pos, sign = p.reg.resolve(name)
         if pos in values:
             raise ValueError(f"variable {name!r} assigned twice")

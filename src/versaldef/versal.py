@@ -585,12 +585,12 @@ class T1Result:
 
 
 @lru_cache(maxsize=None)
-def _lines_gb(n: int) -> GroebnerBasis:
-    return buchberger(lines_ideal(n))
+def _lines_gb(n: int, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
+    return buchberger(lines_ideal(n), budget=budget)
 
 
 def _lifting_conditions(
-    vectors: Sequence[tuple], shifts: Sequence[Mono], gb: GroebnerBasis
+    vectors: Sequence[tuple], shifts: Sequence[Mono], gb: GroebnerBasis, budget: Budget
 ) -> SparseEliminator:
     """The first-order lifting conditions of one weight, eliminated.
 
@@ -619,7 +619,7 @@ def _lifting_conditions(
                 for s, shift in enumerate(shifts):
                     prod = mono_mul(mono, shift)
                     if prod not in nf:
-                        nf[prod] = normal_form(Polynomial(gb.registry, {prod: 1}), gb).terms
+                        nf[prod] = normal_form(Polynomial(gb.registry, {prod: 1}), gb, budget).terms
                     u = p * len(shifts) + s
                     for m, d in nf[prod].items():
                         row = cond.setdefault(m, {})
@@ -630,14 +630,18 @@ def _lifting_conditions(
 
 
 @lru_cache(maxsize=None)
-def t1_compute(n: int) -> T1Result:
+def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
     """Solve the first-order lifting conditions for perturbations of
     the quadric generators by polynomials of degree at most 1, quotient
     out the coordinate-change directions, and certify the standard
     basis G_ij = z_i*z_j - y + a_ij*(z_i - z_j).
 
     The conditions come from lifting the distinguished relations
-    (``curves.relations``).  The linear system splits by weight:
+    (``curves.relations``), and only their basis is lifted: normal
+    forms are linear, so the conditions of a combination sum_t c_t*b_t
+    of relation vectors are the same combination of the conditions of
+    each b_t, and the basis gives the same span of condition rows as
+    every vector would.  The linear system splits by weight:
     z-perturbations sit in weighted degree -1 and constant perturbations
     in degree -2, and the lifting conditions never mix the two, so the
     parts are solved separately.
@@ -645,7 +649,7 @@ def t1_compute(n: int) -> T1Result:
     if n < 4:
         raise ValueError("need n >= 4")
     reg = lines_registry(n)
-    gb = _lines_gb(n)
+    gb = _lines_gb(n, budget)
     fam = relations(n)
     pairs = fam.pairs
     npairs = len(pairs)
@@ -653,7 +657,7 @@ def t1_compute(n: int) -> T1Result:
     # weighted degree -1: column c*n + m-1 is the coefficient of z_m in
     # the perturbation of the generator of pair c
     elim1 = _lifting_conditions(
-        fam.vectors, [((reg.position(f"z{m}"), 1),) for m in range(1, n + 1)], gb
+        fam.basis, [((reg.position(f"z{m}"), 1),) for m in range(1, n + 1)], gb, budget
     )
     nunk1 = npairs * n
     solution_dim1 = nunk1 - elim1.rank
@@ -681,7 +685,7 @@ def t1_compute(n: int) -> T1Result:
 
     # weighted degree -2: column c is the constant perturbation of the
     # generator of pair c
-    elim2 = _lifting_conditions(fam.vectors, [MONO_ONE], gb)
+    elim2 = _lifting_conditions(fam.basis, [MONO_ONE], gb, budget)
     solution_dim2 = npairs - elim2.rank
     shift_ok = in_kernel({c: -1 for c in range(npairs)}, elim2)  # y -> y + constant
     dim2 = solution_dim2 - 1

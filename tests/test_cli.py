@@ -156,6 +156,12 @@ def test_verify_budget_exit_three(capsys):
     assert "SKIPPED_BUDGET" in out
 
 
+def test_verify_t1t2_budget_exit_three(capsys):
+    code, out, _ = run(capsys, "verify", "t1t2", "--n", "5", "5", "--spair-budget", "1")
+    assert code == 3
+    assert out.count("SKIPPED_BUDGET") == 3
+
+
 def test_verify_writes_report_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(

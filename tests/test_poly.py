@@ -283,6 +283,23 @@ def test_substitution_sums_its_terms_in_one_pass(monkeypatch):
     assert sums == []
 
 
+def test_substitution_rejects_a_foreign_value_and_a_variable_assigned_twice():
+    p = parse("z1*a_1_2 + y", REG)
+    twin = build_registry(nz=3, y=True, npairs=3)  # equal registry
+    image = parse("z2", twin)
+    assert substitute(p, {"z1": image, "y": parse("1", REG)}) == parse("z2*a_1_2 + 1", REG)
+    other = parse("z1", build_registry(nz=3))
+    for assignment, target in (
+        ({"z1": image, "y": other}, None),
+        ({"z1": other, "y": image}, None),
+        ({"z1": image}, build_registry(nz=3)),
+    ):
+        with pytest.raises(ValueError, match="'(y|z1)' does not live over the target"):
+            substitute(p, assignment, target)
+    with pytest.raises(ValueError, match="'a_2_1' assigned twice"):
+        substitute(p, {"a_1_2": image, "a_2_1": image})
+
+
 def test_registry_hash_is_computed_once(monkeypatch):
     a = build_registry(nz=3, y=True, npairs=4)
     b = build_registry(nz=3, y=True, npairs=4)

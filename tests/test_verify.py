@@ -174,6 +174,18 @@ def test_budget_exhaustion_reports_skip():
     assert rep.summary["skipped"] >= 2
 
 
+def test_t1t2_runs_under_the_suite_budget():
+    rep = run_suite("t1t2", (5, 5), budget=Budget(max_pairs=1))
+    statuses = {c.id: c.status for c in rep.checks}
+    assert statuses == {
+        "t1-dimension-n5": SKIPPED_BUDGET,
+        "t1-degree-minus-two-n5": SKIPPED_BUDGET,
+        "t1-basis-n5": SKIPPED_BUDGET,
+        "t2-dimension-n5": PASS,  # no Groebner work needed
+    }
+    assert run_suite("t1t2", (5, 5)).ok  # the default budget is not poisoned
+
+
 def test_seeded_run_is_deterministic_and_samples_extra_point():
     rep1 = run_suite("monomial", (4, 4), seed=7)
     rep2 = run_suite("monomial", (4, 4), seed=7)

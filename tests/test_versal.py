@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from test_verify import _record_buchberger
 
 from versaldef import groebner, versal
-from versaldef.curves import _relation_quadruples, t2_formula
-from versaldef.groebner import GroebnerBasis, Ideal, block_order, buchberger, ideal_equal, normal_form
+from versaldef.curves import RelationFamily, _relation_quadruples, relations, t2_formula
+from versaldef.groebner import (
+    DEFAULT_BUDGET, GroebnerBasis, Ideal, block_order, buchberger, ideal_equal, normal_form,
+)
+from versaldef.linalg import Span
 from versaldef.poly import (
     Polynomial, build_registry, mono_degree, parse, substitute, sum_of_products,
 )
@@ -580,21 +583,58 @@ def test_t1_depends_on_relation_vectors(monkeypatch):
         t1_compute.cache_clear()
 
 
+def _t1_from_every_relation_vector(n, monkeypatch):
+    """The oracle: t1_compute with every relation vector lifted in both
+    weights instead of the relation basis."""
+    with monkeypatch.context() as m:
+        m.setattr(RelationFamily, "basis", property(lambda fam: fam.vectors))
+        t1_compute.cache_clear()
+        try:
+            return t1_compute(n)
+        finally:
+            t1_compute.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_t1_from_the_relation_basis_matches_every_vector(n, monkeypatch):
+    oracle = _t1_from_every_relation_vector(n, monkeypatch)
+    assert len(relations(n).basis) < len(relations(n).vectors)
+    # every field, the condition ranks of both weights among the details
+    assert t1_compute(n) == oracle
+
+
+def _linear_rows(vectors):
+    return [{(p, mono): c for p, entry in vec for mono, c in entry.terms.items()} for vec in vectors]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_relation_basis_is_independent_and_spans_every_vector(n):
+    fam = relations(n)
+    span = Span()
+    assert span.add(_linear_rows(fam.basis)) == len(fam.basis) == fam.expected_rank
+    for row in _linear_rows(fam.vectors):
+        assert not span.elim.reduce(span.columns(row))
+
+
 # sha256 of the rows t1_compute(n) gives SparseEliminator.add, one
 # repr(sorted(row.items())) line each, in the order given; the row order
-# sets the fill-in of the elimination
+# sets the fill-in of the elimination.  The rows are those of the relation
+# basis, which gives the same T1Result as every relation vector (the
+# oracle above)
 _T1_ROWS_SHA256 = {
-    4: "d364fed3d6f8ec2200de23a33b158fee376998d1bd38a23a7bcb9cab7527fea4",
-    5: "232eccc60446cf19d9e53ac11a6e72c9f9155bee70c7fdad01f70c57acdf78b5",
-    6: "f64d5b3612edf2e635e32d60496a837e9f36dde866e3cbe59419d63166b42a78",
-    7: "814225248c48d231829c230b650361ccba020f079d38b3f28433a23931c4c92d",
-    8: "df158af95ab3b2a84d7e1f911dee8cf6f368bf2c841b54ef737117dab01bbdad",
+    4: "ca0dc51a9efacce24d530ee71fe4b219150400b2874ced148a10bb3ac9be7f81",
+    5: "05ace4427c7057be6764992693ee24656c5a479fc2639ac665cda7c6b2d85dfa",
+    6: "f7561cca07ba137b261924e6401a9dbd4772a4e30c5298a220cd0c8d8285aa12",
+    7: "5451a7b03f5d619cf2425b88ebe3ee7007d586345912665b50dbde4267dd1522",
+    8: "0841baf374da08f6a31e24a4c214a7e86948bec46554e76ae4b67b59e64ae15e",
 }
 
 
 @pytest.mark.parametrize("n", sorted(_T1_ROWS_SHA256))
 def test_t1_lifting_rows_are_pinned(n, monkeypatch):
-    versal._lines_gb(n)  # built first: buchberger feeds SparseEliminator too
+    # built first: buchberger and the relation basis feed SparseEliminator too
+    versal._lines_gb(n, DEFAULT_BUDGET)
+    relations(n).basis
     digest = hashlib.sha256()
     real = versal.SparseEliminator.add
 
