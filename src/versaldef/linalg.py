@@ -147,20 +147,30 @@ class Span:
         return self.elim.rank
 
 
-def in_kernel(vec: Row, elim: SparseEliminator) -> bool:
-    """True iff ``vec`` has dot product zero with every row added to
-    ``elim``.
+def in_kernel(vecs: Iterable[Row], elim: SparseEliminator) -> bool:
+    """True iff every vector of ``vecs`` has dot product zero with every
+    row added to ``elim``; True for no vectors.
 
     The pivots are enough to decide this: each pivot is a combination of
     rows added, and each row added is a combination of pivots (a row that
     did not raise the rank reduced to zero against them), so the pivots
     span the row space of everything added, and a vector orthogonal to
-    a spanning set is orthogonal to the whole space.
+    a spanning set is orthogonal to the whole space.  The pivots are
+    indexed by column once, so each vector's dot products visit only the
+    pivots that share a column with it.
     """
-    return all(
-        sum(c * piv.get(k, 0) for k, c in vec.items()) == 0
-        for piv in elim.pivots.values()
-    )
+    by_column: Dict[int, List[Tuple[int, int]]] = {}
+    for lead, piv in elim.pivots.items():
+        for k, v in piv.items():
+            by_column.setdefault(k, []).append((lead, v))
+    for vec in vecs:
+        dots: Dict[int, Scalar] = {}
+        for k, c in vec.items():
+            for lead, v in by_column.get(k, ()):
+                dots[lead] = dots.get(lead, 0) + c * v
+        if any(dots.values()):
+            return False
+    return True
 
 
 def solve(

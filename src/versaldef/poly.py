@@ -27,10 +27,13 @@ exponent) pairs, sorted by position, with no zero exponents stored.
 Every product goes through one multiply-accumulate kernel,
 :func:`sum_of_products`, which expands a sum c1*p1*q1 + c2*p2*q2 + ...
 into a single term dict without building any intermediate polynomial;
-``p * q`` is its one-product case.  :func:`substitute` is the one
-change-of-ring path (a substitution, or a renaming into another
-registry): it hands every term's image factors to one kernel call, so
-a term of degree at most 2 builds no intermediate polynomial.
+``p * q`` is its one-product case.  Two monomials whose supports do not
+interleave multiply by tuple concatenation, lower positions first, which
+is already sorted; only interleaved supports are merged by
+:func:`mono_mul`.  :func:`substitute` is the one change-of-ring path (a
+substitution, or a renaming into another registry): it hands every
+term's image factors to one kernel call, so a term of degree at most 2
+builds no intermediate polynomial.
 """
 
 from __future__ import annotations
@@ -465,7 +468,12 @@ def sum_of_products(
     """The sum of c*p*q over the (c, p, q) triples, every factor over
     ``reg``, expanded into one term dict: no intermediate product or
     partial sum is built.  This is the one multiplication loop of the
-    package; ``Polynomial.__mul__`` is the one-product case."""
+    package; ``Polynomial.__mul__`` is the one-product case.
+
+    A product monomial is the concatenation ``ms + mb`` (or ``mb + ms``)
+    when every position of one factor lies below every position of the
+    other, an empty monomial included; only interleaved supports go
+    through the merge of ``mono_mul``."""
     out: dict = {}
     for c, p, q in products:
         for f in (p, q):
@@ -476,8 +484,14 @@ def sum_of_products(
         small, big = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
         for ms, cs in small.terms.items():
             cs = c * cs
+            lo, hi = (ms[0][0], ms[-1][0]) if ms else (0, -1)
             for mb, cb in big.terms.items():
-                m = mono_mul(ms, mb)
+                if not mb or hi < mb[0][0]:
+                    m = ms + mb
+                elif mb[-1][0] < lo:
+                    m = mb + ms
+                else:
+                    m = mono_mul(ms, mb)
                 acc = out.get(m, 0) + cs * cb
                 if acc:
                     out[m] = acc

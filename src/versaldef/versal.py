@@ -354,6 +354,18 @@ def _phi_coordinates(basis: PhiBasis, n: int) -> Iterator[Dict[Triple, int]]:
     return (_phi_vector(basis, _quadric_phi_terms(*q)) for q in _quadric_tuples(n))
 
 
+def _incidence_sums(vec: Mapping[Triple, int]) -> Dict[int, int]:
+    """The incidence functionals f_t(e_abc) = [t in {a, b, c}] evaluated
+    on a phi-vector in one pass: each index t of some key maps to the sum
+    of the coefficients of the keys that contain it.  Every other f_t is
+    zero on ``vec``."""
+    sums: Dict[int, int] = {}
+    for key, c in vec.items():
+        for t in key:
+            sums[t] = sums.get(t, 0) + c
+    return sums
+
+
 def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) -> int:
     """The rank of ``vectors``, given over the C(n,3) sorted triples, when
     two bounds read in one pass meet; CertificateError naming both
@@ -370,11 +382,7 @@ def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) ->
     nonvanishing = set()
     for vec in vectors:
         leads.add(max(vec))
-        values: Dict[int, int] = {}
-        for key, c in vec.items():
-            for t in key:
-                values[t] = values.get(t, 0) + c
-        nonvanishing.update(t for t, v in values.items() if v)
+        nonvanishing.update(t for t, v in _incidence_sums(vec).items() if v)
     annihilators = [
         {key: 1 for key in triples if t in key}
         for t in range(1, n + 1) if t not in nonvanishing
@@ -670,8 +678,8 @@ def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
             {c * n + p + q - i - 1: 1 for c, (p, q) in enumerate(pairs) if i in (p, q)}
         )
     candidates = [{c * n + p - 1: 1, c * n + q - 1: -1} for c, (p, q) in enumerate(pairs)]
-    trivial_in_solutions = all(in_kernel(v, elim1) for v in trivial1)
-    candidates_in_solutions = all(in_kernel(v, elim1) for v in candidates)
+    trivial_in_solutions = in_kernel(trivial1, elim1)
+    candidates_in_solutions = in_kernel(candidates, elim1)
 
     telim = SparseEliminator()
     for v in trivial1:
@@ -687,7 +695,7 @@ def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
     # generator of pair c
     elim2 = _lifting_conditions(fam.basis, [MONO_ONE], gb, budget)
     solution_dim2 = npairs - elim2.rank
-    shift_ok = in_kernel({c: -1 for c in range(npairs)}, elim2)  # y -> y + constant
+    shift_ok = in_kernel([{c: -1 for c in range(npairs)}], elim2)  # y -> y + constant
     dim2 = solution_dim2 - 1
 
     vreg = versal_registry(n)
@@ -770,11 +778,6 @@ def _multiplier(reg: VarRegistry, v: Tuple[int, ...]) -> Polynomial:
     return _zv(reg, *v) if len(v) == 1 else _av(reg, *v)
 
 
-def _incidence_sums_vanish(basis: PhiBasis, quadric: tuple) -> bool:
-    vec = _phi_vector(basis, _quadric_phi_terms(*quadric))
-    return not any(sum(c for key, c in vec.items() if t in key) for t in quadric)
-
-
 def verify_flatness(n: int) -> FlatnessReport:
     """Lift every distinguished relation through the deformed
     generators and certify the obstruction with explicit cofactors.
@@ -794,7 +797,12 @@ def verify_flatness(n: int) -> FlatnessReport:
     functionals that vanish on it.  With C(n,3) - n vectors that rank is
     C(n,3) - n and they are all n functionals (as in
     ``base_equals_total``), so a quadric whose incidence sums all vanish
-    lies in the span.  No Groebner basis is read."""
+    lies in the span.  No Groebner basis is read.
+
+    Each generator is read at its canonical index through
+    ``_family_gen``: the triples of ``_lift_terms`` are valid by
+    construction, so the index search runs once per product and no index
+    check is repeated."""
     if n < 4:
         raise ValueError("need n >= 4")
     vreg = versal_registry(n)
@@ -804,14 +812,17 @@ def verify_flatness(n: int) -> FlatnessReport:
     for quadruple in _relation_quadruples(n):
         products, cofactors = [], []
         for sign, v, xyw, o in _lift_terms(*quadruple):
-            products.append((sign, _multiplier(vreg, v), family_generator(*xyw, n)))
             c = canonical_fourth_index(*xyw, n)
+            products.append((sign, _multiplier(vreg, v), _family_gen(n, *xyw, c)))
             if c != o:
                 cofactors.append((sign, v, (*xyw, o, c)))
         residual = sum_of_products(vreg, products + [
             (-sign, _multiplier(vreg, v), _quadric(vreg, *q)) for sign, v, q in cofactors
         ])
-        ok = residual.is_zero() and all(_incidence_sums_vanish(basis, q) for _, _, q in cofactors)
+        ok = residual.is_zero() and not any(
+            any(_incidence_sums(_phi_vector(basis, _quadric_phi_terms(*q))).values())
+            for _, _, q in cofactors
+        )
         failed = () if ok else (sum_of_products(vreg, products), residual)
         certs.append(LiftCertificate(quadruple, tuple(cofactors), ok, *failed))
     return FlatnessReport(n=n, certificates=tuple(certs), ok=all(c.ok for c in certs))

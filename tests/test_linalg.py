@@ -182,9 +182,19 @@ def test_in_kernel_matches_dense_oracle(rows, vec, project):
     for r in rows:
         elim.add(r)
     expected = all(_dot(r, vec) == 0 for r in rows)
-    assert in_kernel(vec, elim) == expected
+    assert in_kernel([vec], elim) == expected
     if project and norm:
         assert expected
+
+
+def test_in_kernel_decides_a_list_of_vectors():
+    elim = SparseEliminator()
+    for r in ({0: 1, 1: -1}, {1: 2, 2: 1}, {0: 1, 1: 1, 2: 1}):
+        elim.add(r)
+    passing = [{0: 1, 1: 1, 2: -2}, {3: 5}, {}]
+    assert in_kernel([], elim)
+    assert in_kernel(passing, elim)
+    assert not in_kernel(passing[:2] + [{2: Fraction(1, 3)}] + passing[2:], elim)
 
 
 def _dense(rows, ncols):

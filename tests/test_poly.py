@@ -13,6 +13,7 @@ from versaldef.poly import (
     Polynomial,
     Var,
     build_registry,
+    mono_mul,
     parse,
     substitute,
     sum_of_products,
@@ -255,6 +256,32 @@ def test_sum_of_products_matches_fraction_oracle(raw_products):
         want = _o_add(want, _o_mul(_oracle({(): c}), _o_mul(_oracle(ra), _oracle(rb))))
     assert _as_oracle(got) == want
     _assert_exact(got)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("z1*z2", "a_1_2^2"),                            # supports wholly before
+    ("a_1_3", "z1*y"),                               # supports wholly after
+    ("z1*a_1_2", "z2*a_2_3"),                        # interleaved supports
+    ("z1*z2^2", "z2*y"),                             # supports sharing a variable
+    ("1", "z1*y"),                                   # an empty monomial on the left
+    ("z1*y", "1"),                                   # an empty monomial on the right
+    ("z1*a_1_3 + a_2_3", "z2*y - a_1_2 + z1 + 1"),  # every rule in one product
+])
+def test_each_branch_of_the_product_rule(left, right):
+    p, q = parse(left, REG), parse(right, REG)
+    for a, b in ((p, q), (q, p)):
+        got = sum_of_products(REG, [(3, a, b)])
+        assert _as_oracle(got) == _o_mul(_oracle({(): 3}), _o_mul(_oracle(a.terms), _oracle(b.terms)))
+        merged = {}
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                m = mono_mul(ma, mb)
+                merged[m] = merged.get(m, 0) + 3 * ca * cb
+        assert got.terms == {m: c for m, c in merged.items() if c}
+        for m in got.terms:
+            positions = [v for v, _ in m]
+            assert positions == sorted(set(positions)), m
+            assert all(e > 0 for _, e in m), m
 
 
 def test_sum_of_products_rejects_a_foreign_factor():
