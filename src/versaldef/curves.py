@@ -189,7 +189,14 @@ class RelationFamily:
     lifting conditions of a combination sum_t c_t*b_t of relation
     vectors are the same combination of the conditions of each b_t,
     because a normal form is linear, so the basis spans every condition
-    row the whole family gives."""
+    row the whole family gives.
+
+    Only the basis vectors are checked to annihilate the generators,
+    and that is enough: the entries are linear, so a vector that does
+    not raise the rank is a Q-combination of earlier basis vectors, and
+    annihilation is linear, so it annihilates when they do.  The first
+    vector that does not annihilate lies outside the span of the ones
+    before it, so it raises the rank and is checked."""
 
     n: int
     pairs: tuple
@@ -202,14 +209,20 @@ class RelationFamily:
         # columns in descending pair slot, so each row's lead is its last
         # slot; which vectors raise the rank does not depend on the column
         # order, only the fill-in does
-        nv = lines_registry(self.n).nvars
+        reg = lines_registry(self.n)
+        nv = reg.nvars
         rows = (
             {-(p * nv + mono[0][0]): c for p, entry in vec for mono, c in entry.terms.items()}
             for vec in self.vectors
         )
         assert all(mono_degree(m) == 1 for vec in self.vectors for _, e in vec for m in e.terms)
         elim = SparseEliminator()
-        return tuple(vec for vec, row in zip(self.vectors, rows) if elim.add(row))
+        basis = tuple(vec for vec, row in zip(self.vectors, rows) if elim.add(row))
+        gens = [line_generator(reg, i, j) for i, j in self.pairs]
+        for vec in basis:
+            if sum_of_products(reg, ((1, v, gens[p]) for p, v in vec)):
+                raise AssertionError("relation family vector is not a syzygy")
+        return basis
 
     @property
     def rank(self) -> int:
@@ -251,12 +264,6 @@ def relations(n: int) -> RelationFamily:
             ppos(k, l): zi,
         }
         vectors.append(tuple(sorted(slots.items())))
-
-    # exactness: each vector annihilates the generators
-    gens = [line_generator(reg, i, j) for i, j in pairs]
-    for vec in vectors:
-        if sum_of_products(reg, ((1, v, gens[p]) for p, v in vec)):
-            raise AssertionError("relation family vector is not a syzygy")
 
     return RelationFamily(
         n=n,

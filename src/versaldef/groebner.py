@@ -11,9 +11,9 @@ by one reduced row echelon form of its terms, autoreduced further only
 where a reduction across degrees is possible.  Autoreduction is one
 pass that reduces each item against the nonzero results before it; it
 also turns the raw basis, in ascending order, into the reduced one.  The
-product and chain criteria prune pairs in plain runs; syzygy-recording
-runs process every pair so that the zero reductions generate the full
-syzygy module.
+chain criterion prunes pairs in every run, the product criterion only
+in plain runs: a syzygy-recording run reduces coprime pairs too, so that
+its zero reductions generate the full syzygy module.
 
 Inside the engine a monomial is one int, its packed exponent vector for
 the (order, registry) pair (Bachmann and Schoenemann, "Monomial
@@ -506,10 +506,13 @@ class _Engine:
                 raise BudgetExceeded("s-pairs", self.budget.max_pairs, "buchberger")
             done.add((i, j))
             lti, ltj = self.lts[i], self.lts[j]
+            # a coprime pair's S-polynomial reduces to zero, but that says
+            # nothing of whether its leading-term syzygy follows from the
+            # others', so a recording run reduces it and records its lift
             if not self.record and mono_coprime(lti, ltj):
                 continue
             lcm = pk.encode(mono_lcm(lti, ltj))
-            if not self.record and self._chain_skip(i, j, lcm, done):
+            if self._chain_skip(i, j, lcm, done):
                 continue
             ri, rj = self.reducers[i], self.reducers[j]
             s = _spoly(pk, ri, rj, lcm)
@@ -638,8 +641,9 @@ def recheck(gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> bool:
 # ---------------------------------------------------------------------------
 # syzygies
 
-# the all-pairs syzygy run is quadratic in the generators and keeps every
-# cofactor row, so larger presentations are refused up front
+# the recorded syzygy run still pops every pair of generators, reduces
+# each coprime one and keeps a cofactor row per element, so larger
+# presentations are refused up front
 SYZYGY_GENERATOR_GUARD = 64
 
 
@@ -685,8 +689,23 @@ def monomials_of_weighted_degree(reg: VarRegistry, d: int) -> List[Mono]:
 
 def syzygies(ideal: Ideal, budget: Budget = DEFAULT_BUDGET) -> SyzygyModule:
     """First syzygies of the given generators, with cofactors recorded
-    during an all-pairs degrevlex Buchberger run (no pair criteria, no
-    discards).
+    during a degrevlex Buchberger run.
+
+    The run skips a pair (i, j) by Buchberger's second (chain) criterion
+    in the form of Gebauer and Moeller ("On an installation of
+    Buchberger's algorithm", J. Symbolic Comput. 6, 1988): some k with
+    lt_k | lcm_ij has had both (i, k) and (j, k) popped earlier.  Then
+    the leading-term syzygy tau_ij is (m_ij/m_ik)*tau_ik - (m_ij/m_jk)*
+    tau_jk, so by induction over the pop order the tau of the reduced
+    pairs generate Syz(LT(G)), and by the lifting argument behind
+    Schreyer's theorem (Eisenbud, *Commutative Algebra*, Thm 15.10)
+    their recorded lifts generate Syz(G).  The lift of a pair that gave
+    a new element maps to 0 back on the input generators, so the zero
+    reductions' rows generate the syzygy module of the input, whose
+    graded Nakayama count does not depend on the generating set.  The
+    product criterion is not applied: a coprime pair's S-polynomial
+    reduces to zero, but its leading-term syzygy need not follow from
+    the others' (each Koszul syzygy of (z1^2, z2^3, z3^4) is minimal).
 
     Intended for small presentations; guarded by
     ``SYZYGY_GENERATOR_GUARD``.  Generators must be homogeneous for the

@@ -2,6 +2,7 @@
 invariants.  Expected gap sets and ranks are frozen by hand so the
 computations are checked against independent data."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -221,3 +222,14 @@ def test_formula_values():
     assert [minimal_generator_formula(n) for n in range(4, 8)] == [5, 9, 14, 20]
     # full branch count r = n + 1 gives binom(n, 2)
     assert [elliptic_t1_formula(n, n + 1) for n in range(4, 8)] == [6, 10, 15, 21]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_relation_family_checks_annihilation_on_its_basis(k):
+    fam = relations(6)
+    vectors = list(fam.vectors)
+    (p, entry), *rest = vectors[k]
+    vectors[k] = ((p, -entry), *rest)
+    broken = dataclasses.replace(fam, vectors=tuple(vectors))
+    with pytest.raises(AssertionError, match="relation family vector is not a syzygy"):
+        broken.rank

@@ -267,13 +267,75 @@ def _homogeneous_form(draw):
     return Polynomial(SYZ_REG, {m: c for m, c in zip(monos, coeffs) if c})
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_homogeneous_form(), min_size=2, max_size=4))
 # (z1^2, z2^3, z3^4): one Koszul generator in each of degrees 5, 6 and
 # 7, so the top degree holds a new generator and must not stop early
-@example([parse("z1^2", SYZ_REG), parse("z2^3", SYZ_REG), parse("z3^4", SYZ_REG)])
+KOSZUL_GENS = [parse("z1^2", SYZ_REG), parse("z2^3", SYZ_REG), parse("z3^4", SYZ_REG)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_homogeneous_form(), min_size=2, max_size=4))
+@example(KOSZUL_GENS)
 def test_minimal_count_of_homogeneous_ideals_matches_full_span(gens):
     _assert_count_matches_full_span(syzygies(Ideal(SYZ_REG, gens)))
+
+
+def _all_pairs_syzygies(ideal):
+    """Oracle: the recorded run with no pair criterion at all, so that
+    every S-pair is reduced and its lift recorded."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "_chain_skip", lambda self, i, j, lcm, done: False)
+        mp.setattr(groebner, "mono_coprime", lambda a, b: False)
+        return syzygies(ideal)
+
+
+def _pruned_and_all_pairs(ideal):
+    pruned, everything = syzygies(ideal), _all_pairs_syzygies(ideal)
+    assert len(pruned.vectors) <= len(everything.vectors)
+    return pruned, everything
+
+
+@pytest.mark.parametrize(
+    "presentation,n",
+    [(curves.G_FORM, n) for n in (4, 5, 6, 7)]
+    + [(curves.F_FORM, n) for n in (4, 5, 6)]
+    + [("axes", n) for n in (4, 5)],
+)
+def test_chain_criterion_keeps_the_minimal_count_of_the_all_pairs_run(presentation, n):
+    if presentation == "axes":
+        ideal = curves.axes_ideal(n)
+    else:
+        ideal = curves.lines_ideal(n, presentation)
+    pruned, everything = _pruned_and_all_pairs(ideal)
+    assert pruned.minimal_by_degree == everything.minimal_by_degree
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_homogeneous_form(), min_size=2, max_size=4))
+@example(KOSZUL_GENS)
+def test_chain_criterion_keeps_the_minimal_count_of_homogeneous_ideals(gens):
+    pruned, everything = _pruned_and_all_pairs(Ideal(SYZ_REG, gens))
+    assert pruned.minimal_by_degree == everything.minimal_by_degree
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pruned_syzygies_span_the_all_pairs_module(n):
+    # each all-pairs vector of degree d lies in the span of the degree-d
+    # monomial multiples of the pruned vectors
+    pruned, everything = _pruned_and_all_pairs(curves.lines_ideal(n))
+    reg = pruned.ideal.registry
+    for d in sorted(set(everything.degrees)):
+        span = Span()
+        rank = span.add(
+            {(i, mono_mul(m, mono)): c for i, v in enumerate(vec) for m, c in v.terms.items()}
+            for vec, deg in zip(pruned.vectors, pruned.degrees)
+            if deg <= d
+            for mono in groebner.monomials_of_weighted_degree(reg, d - deg)
+        )
+        assert span.add(
+            {(i, m): c for i, v in enumerate(vec) for m, c in v.terms.items()}
+            for vec, deg in zip(everything.vectors, everything.degrees)
+            if deg == d
+        ) == rank, d
 
 
 def test_transported_basis_remains_a_basis():
@@ -590,8 +652,14 @@ BASE_GB_DIGESTS = {
     12: "32e16e6668d1cfb3e751d01976127c37004bffee549198a8d4094ce33ae1d91f",
 }
 
-# sha256 of the vectors, one line each with " | " between entries
+# sha256 of the vectors, one line each with " | " between entries; the
+# all-pairs digests are those of the recording before the chain criterion
+# applied to it, which the oracle run must still reproduce
 SYZYGY_DIGESTS = {
+    4: "e9aac2377e925049207bd31a616b08f6791ae60da143d294f962143dbe3554ab",
+    5: "1d5c8e0420497ed3d3768486112fd2fbd09571882c212393d30093b04bb30c02",
+}
+ALL_PAIRS_SYZYGY_DIGESTS = {
     4: "af8ba979c800560a11397e34573bb6a0f5784eb5c79f8e30198dd5549eb2fd5f",
     5: "fc9e387115144ddaa1f728d0f1a948eaec784711eebb83aeb602d0c57832a601",
 }
@@ -614,5 +682,6 @@ def test_base_bases_are_pinned(n):
 def test_syzygy_vectors_of_the_lines_are_pinned(n):
     from versaldef.curves import lines_ideal
 
-    vectors = syzygies(lines_ideal(n)).vectors
-    assert _sha256("\n".join(" | ".join(map(str, v)) for v in vectors)) == SYZYGY_DIGESTS[n]
+    pruned, everything = _pruned_and_all_pairs(lines_ideal(n))
+    for mod, digests in ((pruned, SYZYGY_DIGESTS), (everything, ALL_PAIRS_SYZYGY_DIGESTS)):
+        assert _sha256("\n".join(" | ".join(map(str, v)) for v in mod.vectors)) == digests[n]

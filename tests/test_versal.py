@@ -567,10 +567,13 @@ def test_t1_depends_on_relation_vectors(monkeypatch):
     real = versal.relations
 
     def poisoned(n):
+        # the basis check rejects a poisoned vector (see test_curves), so
+        # the first basis vector is poisoned after the check has run
         fam = real(n)
-        (slot, entry), *rest = fam.vectors[0]
-        first = ((slot, -entry), *rest)
-        return dataclasses.replace(fam, vectors=(first,) + fam.vectors[1:])
+        (slot, entry), *rest = fam.basis[0]
+        broken = dataclasses.replace(fam)
+        vars(broken)["basis"] = (((slot, -entry), *rest),) + fam.basis[1:]
+        return broken
 
     monkeypatch.setattr(versal, "relations", poisoned)
     t1_compute.cache_clear()
