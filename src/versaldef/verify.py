@@ -151,7 +151,7 @@ def _suite_flatness(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
     def flat():
         rep = versal.verify_flatness(n)
         if rep.ok:
-            return True, f"{len(rep.certificates)} relations lifted"
+            return True, f"{rep.relations} relations lifted"
         bad = [c for c in rep.certificates if not c.ok]
         return False, (
             f"{len(bad)} relations fail; quadruple {bad[0].quadruple} "

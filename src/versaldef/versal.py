@@ -8,8 +8,11 @@ phi_ijk = a_ij*a_ik + a_ji*a_jk + a_ki*a_kj.  All verification here is
 exact: first-order deformations are solved as rational linear systems,
 flatness is certified by explicit cofactors (each lifted relation equals
 a sum of variables times base quadrics, term by term, with no Groebner
-basis), and the explicit smoothings and monomial-curve families are
-checked generator by generator.  Every base
+basis; the lifts of levels 4 and 5 are built literally and carried to
+level n by index renamings, once every generator and phi_abc at level n
+is checked to be its renamed representative), and the explicit
+smoothings and monomial-curve families are checked generator by
+generator.  Every base
 quadric is built from its (triple, sign) pairs, a signed sum of phi_abc.
 Every linear statement about the phi_abc is decided in those
 phi-coordinates, under one certificate: phi is symmetric and the phi_abc
@@ -20,13 +23,15 @@ the ranks of the systems the induction step builds (carried,
 combined and minimal, each with rank bounds that meet), the minimal
 rank and the incidence sums behind the flatness cofactors, and the
 antisymmetry and four-term identities of the quadrics are read that
-way, with no quadric eliminated; the induction step and the flatness
-check each run the certificate once, at their level n.
+way, with no quadric eliminated; the induction step runs the
+certificate once, at its level n, and the flatness check at its level
+n and at levels 4 and 5, whose lifts it transports.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -218,8 +223,11 @@ def canonical_fourth_index(i: int, j: int, l: int, n: int) -> int:
     raise ValueError(f"no fourth index available for n={n}")
 
 
-@lru_cache(maxsize=None)
 def _family_gen(n: int, i: int, j: int, l: int, k: int) -> Polynomial:
+    """F(i, j, l) with auxiliary index k, built from the cached pair
+    generators on each call.  It is not cached: the flatness transport
+    reads each of the n(n-1)(n-2) generators at level n once, and a
+    cache would keep them all."""
     reg = versal_registry(n)
     return _pair_gen(reg, i, j, k) - _pair_gen(reg, i, l, k)
 
@@ -312,7 +320,8 @@ def span_rank(polys: Sequence[Polynomial]) -> int:
 
 class CertificateError(ValueError):
     """A rank or identity read from phi-coordinates is not certified: the
-    phi_abc are not independent, or the two bounds on a rank do not meet."""
+    phi_abc are not independent, or the two bounds on a rank do not meet;
+    or a renaming that transports the flatness lifts does not hold."""
 
 
 PhiBasis = Dict[Triple, Triple]
@@ -537,10 +546,11 @@ def family_k_change_failures(n: int) -> List[tuple]:
     fails = []
     for (i, j, l) in family_index_set(n):
         k = canonical_fourth_index(i, j, l, n)
+        gen = family_generator(i, j, l, n, k)
         for kp in range(1, n + 1):
             if kp in (i, j, l) or kp == k:
                 continue
-            diff = family_generator(i, j, l, n, k) - family_generator(i, j, l, n, kp)
+            diff = gen - family_generator(i, j, l, n, kp)
             if diff != -_quadric(reg, i, j, l, k, kp):
                 fails.append((i, j, l, k, kp))
     return fails
@@ -751,7 +761,12 @@ class LiftCertificate:
 
 @dataclass(frozen=True)
 class FlatnessReport:
+    """``relations`` counts the distinguished relations at level n.
+    ``certificates`` holds the literal lifts at level n when they ran:
+    at n = 4 and 5, and at n >= 6 only to explain a failed transport."""
+
     n: int
+    relations: int
     certificates: tuple
     ok: bool
 
@@ -778,36 +793,22 @@ def _multiplier(reg: VarRegistry, v: Tuple[int, ...]) -> Polynomial:
     return _zv(reg, *v) if len(v) == 1 else _av(reg, *v)
 
 
-def verify_flatness(n: int) -> FlatnessReport:
-    """Lift every distinguished relation through the deformed
-    generators and certify the obstruction with explicit cofactors.
+def _lift(n: int, basis: PhiBasis) -> Tuple[LiftCertificate, ...]:
+    """The literal lift of every distinguished relation at level n, one
+    certificate per quadruple.  ``basis`` is ``_phi_basis(n)``.
 
     F(x, y, w) with the canonical auxiliary index c differs from F with
     any other index o by the base quadric (x, y, w, o, c)
     (``family_k_change_failures``).  The six products of a relation
     cancel when each takes its natural index (``_lift_terms``), so the
     combination, built literally at level n, must equal the sum of
-    sign * v * quadric(x, y, w, o, c) over the products with c != o;
-    at n = 4 there are none and it vanishes.
-
-    Each cofactor quadric lies in the minimal base ideal by one
-    phi-coordinate certificate: ``_phi_basis(n)`` certifies the phi_abc
-    independent, and ``_bounded_rank`` certifies the rank of the minimal
-    system, which makes its span the common kernel of the incidence
-    functionals that vanish on it.  With C(n,3) - n vectors that rank is
-    C(n,3) - n and they are all n functionals (as in
-    ``base_equals_total``), so a quadric whose incidence sums all vanish
-    lies in the span.  No Groebner basis is read.
-
-    Each generator is read at its canonical index through
-    ``_family_gen``: the triples of ``_lift_terms`` are valid by
-    construction, so the index search runs once per product and no index
-    check is repeated."""
-    if n < 4:
-        raise ValueError("need n >= 4")
+    sign * v * quadric(x, y, w, o, c) over the products with c != o, and
+    each such quadric must have vanishing incidence sums; at n = 4 there
+    are none and the combination vanishes.  Each generator is read at
+    its canonical index through ``_family_gen``: the triples of
+    ``_lift_terms`` are valid by construction, so no index check is
+    repeated."""
     vreg = versal_registry(n)
-    basis = _phi_basis(n)
-    _bounded_rank(n, (_phi_vector(basis, q) for q in _minimal_phi_terms(n)), "minimal")
     certs = []
     for quadruple in _relation_quadruples(n):
         products, cofactors = [], []
@@ -825,7 +826,111 @@ def verify_flatness(n: int) -> FlatnessReport:
         )
         failed = () if ok else (sum_of_products(vreg, products), residual)
         certs.append(LiftCertificate(quadruple, tuple(cofactors), ok, *failed))
-    return FlatnessReport(n=n, certificates=tuple(certs), ok=all(c.ok for c in certs))
+    return tuple(certs)
+
+
+def _renaming(idx: Sequence[int], src: VarRegistry, reg: VarRegistry) -> Dict[str, Polynomial]:
+    """The assignment that renames each index r of ``src``, a ring over
+    the indices 1..len(idx), to idx[r - 1] in ``reg``:
+    a_rs -> a_idx[r-1]idx[s-1], and z_r -> z_idx[r-1] when ``src`` has
+    z-variables.  For an increasing ``idx``, ``substitute`` with it is an
+    injective ring map that keeps a_sr = -a_rs."""
+    pos = range(1, len(idx) + 1)
+    assign = {
+        f"a_{r}_{s}": _av(reg, idx[r - 1], idx[s - 1]) for r, s in itertools.combinations(pos, 2)
+    }
+    if "z1" in src:
+        assign.update((f"z{r}", _zv(reg, idx[r - 1])) for r in pos)
+    return assign
+
+
+def _transport_break(n: int) -> str:
+    """The first link of the transport of the lifts to level n that
+    fails, or "" when every link holds.
+
+    The links: the literal lifts at levels 4 and 5 pass; every ordering
+    of every phi_abc the level-4 and level-5 lifts read, and every sorted
+    phi_abc of the base ring at level n (whose orderings ``_phi_basis(n)``
+    has made equal to it), is the renamed phi_123; and at levels 5 and n
+    every generator F(x, y, w) at its canonical index c is its level-4
+    representative, renamed along the sorted {x, y, w, c}.  Level 4 is
+    its own representative."""
+    for m in (4, 5):
+        bad = [c.quadruple for c in _lift(m, _phi_basis(m)) if not c.ok]
+        if bad:
+            return f"the relation of {bad[0]} does not lift at n={m}"
+    ref = _phi(base_registry(3), 1, 2, 3)
+    for m, reg, triples in (
+        (4, versal_registry(4), itertools.permutations(range(1, 5), 3)),
+        (5, versal_registry(5), itertools.permutations(range(1, 6), 3)),
+        (n, base_registry(n), itertools.combinations(range(1, n + 1), 3)),
+    ):
+        for t in triples:
+            if _phi(reg, *t) != substitute(ref, _renaming(sorted(t), ref.reg, reg), target=reg):
+                return f"phi{t} at n={m} is not the renamed phi(1, 2, 3)"
+    reps = {
+        t: _family_gen(4, *t, canonical_fourth_index(*t, 4))
+        for t in itertools.permutations(range(1, 5), 3)
+    }
+    for m in (5, n):
+        vreg = versal_registry(m)
+        for t in itertools.combinations(range(1, m + 1), 3):
+            c = canonical_fourth_index(*t, m)
+            idx = sorted((*t, c))
+            assign = _renaming(idx, versal_registry(4), vreg)
+            for xyw in itertools.permutations(t):
+                rep = reps[tuple(idx.index(v) + 1 for v in xyw)]
+                if _family_gen(m, *xyw, c) != substitute(rep, assign, target=vreg):
+                    return f"F{xyw} at n={m} is not its renamed representative"
+    return ""
+
+
+def verify_flatness(n: int) -> FlatnessReport:
+    """Lift every distinguished relation through the deformed
+    generators and certify the obstruction with explicit cofactors.
+
+    At n = 4 and 5 every relation is lifted literally (``_lift``).  At
+    n >= 6 the lifts are transported from those two levels.  The
+    relation of a quadruple Q reads only the indices S of Q and the
+    canonical indices of its triples.  With a the smallest index outside
+    Q, S is Q plus a when a < max Q, else Q, so |S| <= 5.  Every index
+    below a canonical index lies in S, so the order-preserving map sigma
+    of S onto 1..|S| fixes each canonical index.  The renaming
+    z_a -> z_sigma^-1(a), a_pq -> a_sigma^-1(p)sigma^-1(q) is an
+    injective ring map that keeps a_ji = -a_ij, so it carries the
+    literal lift of sigma(Q) at level |S| to the lift of Q at level n,
+    once every generator the two lifts read, and every phi_abc of their
+    cofactor quadrics, is the renaming of one representative
+    (``_transport_break``).  Renaming
+    permutes phi-coordinates along with indices, so the incidence sums
+    of the cofactor quadrics still vanish.  No quadruple is enumerated
+    at level n.
+
+    Each cofactor quadric lies in the minimal base ideal by one
+    phi-coordinate certificate at level n: ``_phi_basis(n)`` certifies
+    the phi_abc independent, and ``_bounded_rank`` certifies the rank of
+    the minimal system, which makes its span the common kernel of the
+    incidence functionals that vanish on it.  With C(n,3) - n vectors
+    that rank is C(n,3) - n and they are all n functionals (as in
+    ``base_equals_total``), so a quadric whose incidence sums all vanish
+    lies in the span.  No Groebner basis is read.
+
+    When a link of the transport fails, the literal lift runs at level
+    n to name the relations that fail there; if none does,
+    CertificateError names the link."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    basis = _phi_basis(n)
+    _bounded_rank(n, (_phi_vector(basis, q) for q in _minimal_phi_terms(n)), "minimal")
+    relations = math.comb(n, 2) * math.comb(n - 2, 2)
+    broken = _transport_break(n) if n > 5 else ""
+    if n > 5 and not broken:
+        return FlatnessReport(n, relations, (), True)
+    certs = _lift(n, basis)
+    ok = all(c.ok for c in certs)
+    if ok and broken:
+        raise CertificateError(f"n={n}: flatness not transported, {broken}")
+    return FlatnessReport(n, relations, certs, ok)
 
 
 # ---------------------------------------------------------------------------

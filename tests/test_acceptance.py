@@ -60,7 +60,9 @@ def test_c04_flatness():
         assert rep5.ok
         assert any(c.cofactors for c in rep5.certificates)
         rep6 = versal.verify_flatness(6)
-        assert rep6.ok, [c.quadruple for c in rep6.certificates if not c.ok]
+        assert rep6.ok and rep6.relations == 90
+        literal6 = versal._lift(6, versal._phi_basis(6))
+        assert all(c.ok for c in literal6), [c.quadruple for c in literal6 if not c.ok]
 
 
 def test_c05_base_space_geometry():

@@ -850,8 +850,21 @@ def _groebner_lift_verdicts(n):
     return {q: normal_form(_combination(n, *q), gbx).is_zero() for q in _relation_quadruples(n)}
 
 
+def _literal_flatness(n):
+    """The oracle: every relation lifted literally at level n, after the
+    same phi and minimal-rank certificates, as ``verify_flatness`` did at
+    every n before its lifts were transported from levels 4 and 5."""
+    basis = versal._phi_basis(n)
+    versal._bounded_rank(n, (versal._phi_vector(basis, q) for q in versal._minimal_phi_terms(n)), "minimal")
+    return versal._lift(n, basis)
+
+
 def _lift_verdicts(n):
-    return {c.quadruple: c.ok for c in verify_flatness(n).certificates}
+    return {c.quadruple: c.ok for c in _literal_flatness(n)}
+
+
+def _failing(certificates):
+    return {c.quadruple: c.residual for c in certificates if not c.ok}
 
 
 def test_flatness_n4_lifts_literally():
@@ -879,6 +892,49 @@ def test_flatness_agrees_with_the_groebner_oracle(n):
     verdicts = _lift_verdicts(n)
     assert verdicts == _groebner_lift_verdicts(n)
     assert all(verdicts.values())
+    assert verify_flatness(n).ok
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_transported_flatness_agrees_with_the_literal_oracle(n):
+    rep = verify_flatness(n)
+    oracle = _literal_flatness(n)
+    assert rep.ok == all(c.ok for c in oracle)
+    assert _failing(rep.certificates) == _failing(oracle)
+    assert rep.relations == len(oracle) == len(_relation_quadruples(n))
+    assert rep.certificates == (oracle if n <= 5 else ())
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_each_quadruple_is_a_renamed_level_four_or_five_quadruple(n):
+    """The index lemma behind the transport: the relation of Q reads the
+    indices S = Q plus a, the smallest index outside Q, when a < max Q,
+    else Q; the order-preserving sigma of S onto 1..|S| fixes every
+    canonical index and carries the lift terms of Q to those of sigma(Q)
+    at level |S|; and the sigma(Q) are the 30 quadruples of levels 4
+    and 5, up to the six of level 4 seen again at level 5."""
+    classes = set()
+    for q in _relation_quadruples(n):
+        terms = versal._lift_terms(*q)
+        canonical = {canonical_fourth_index(*xyw, n) for _, _, xyw, _ in terms}
+        outside = min(set(range(1, n + 2)) - set(q))
+        S = set(q) | canonical
+        assert S == (set(q) | {outside} if outside < max(q) else set(q))
+        assert len(S) <= 5
+        sigma = {v: r for r, v in enumerate(sorted(S), 1)}
+        assert all(sigma[c] == c for c in canonical)
+        rep = tuple(sigma[v] for v in q)
+        assert rep in _relation_quadruples(len(S))
+        renamed = [(sign, tuple(sigma[v] for v in mult), tuple(sigma[v] for v in xyw), sigma[o])
+                   for sign, mult, xyw, o in terms]
+        assert renamed == list(versal._lift_terms(*rep))
+        assert [canonical_fourth_index(*xyw, len(S)) for _, _, xyw, _ in renamed] == [
+            canonical_fourth_index(*xyw, n) for _, _, xyw, _ in terms]
+        classes.add(rep)
+    assert len(classes) == (6 if n == 4 else 30)
+    level4 = set(_relation_quadruples(4))
+    assert classes <= level4 | set(_relation_quadruples(5))
+    assert len(level4 | set(_relation_quadruples(5))) == 30
 
 
 def test_flatness_fails_the_quadruples_of_a_perturbed_generator(monkeypatch, fresh_caches):
@@ -894,15 +950,62 @@ def test_flatness_fails_the_quadruples_of_a_perturbed_generator(monkeypatch, fre
 
     monkeypatch.setattr(versal, "_family_gen", shifted)
     users = {q for q in _relation_quadruples(n) if target in _generator_triples(*q)}
+    assert versal._transport_break(n) == f"F{target} at n={n} is not its renamed representative"
     rep = verify_flatness(n)
     assert {c.quadruple for c in rep.certificates if not c.ok} == users
-    assert users and len(users) < len(rep.certificates)
+    assert users and len(users) < len(rep.certificates) == rep.relations
+    assert _failing(rep.certificates) == _failing(_literal_flatness(n))
     assert _lift_verdicts(n) == _groebner_lift_verdicts(n)
     for cert in rep.certificates:
         if not cert.ok:
             assert cert.combination == _combination(n, *cert.quadruple)
             assert cert.residual == cert.combination - _cofactor_sum(n, cert)
             assert len(cert.residual.terms) == 1
+
+
+def test_flatness_fails_a_phi_rescaled_above_the_representatives(monkeypatch, fresh_caches):
+    """phi_678 doubled: the generators, built from pair generators and
+    not from phi, still match their representatives, so only the phi
+    renaming check sees that the cofactor quadrics at level 8 changed;
+    the literal lift at level 8 then fails exactly the relations whose
+    cofactor quadrics read phi_678."""
+    n = 8
+    original = versal._phi
+
+    def scaled(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if sorted((i, j, k)) == [6, 7, 8] else p
+
+    monkeypatch.setattr(versal, "_phi", scaled)
+    assert versal._transport_break(n) == "phi(6, 7, 8) at n=8 is not the renamed phi(1, 2, 3)"
+    (check,) = run_suite("flatness", (n, n)).checks
+    assert check.status == "FAIL"
+    rep = verify_flatness(n)
+    assert not rep.ok
+    failing = _failing(rep.certificates)
+    assert failing and failing == _failing(_literal_flatness(n))
+    readers = {
+        c.quadruple for c in rep.certificates
+        if any(sorted(t) == [6, 7, 8] for _, _, q in c.cofactors for t, _ in versal._quadric_phi_terms(*q))
+    }
+    assert set(failing) == readers
+
+
+def test_flatness_fails_a_generator_perturbed_only_at_level_five(monkeypatch, fresh_caches):
+    """F(1, 2, 5) changed at n=5 alone: every level-8 generator is intact
+    and the literal lift at level 8 passes, but the transport reads the
+    level-5 lifts, so flatness at n=8 is not certified."""
+    original = versal._family_gen
+
+    def shifted(m, i, j, l, k):
+        p = original(m, i, j, l, k)
+        return p + parse("z5^2", p.reg) if (m, i, j, l) == (5, 1, 2, 5) else p
+
+    monkeypatch.setattr(versal, "_family_gen", shifted)
+    assert all(c.ok for c in _literal_flatness(8))
+    (check,) = run_suite("flatness", (8, 8)).checks
+    assert check.status == "FAIL"
+    assert check.details == "n=8: flatness not transported, the relation of (1, 2, 3, 5) does not lift at n=5"
 
 
 def test_flatness_is_not_certified_without_a_minimal_quadric(monkeypatch, fresh_caches):
