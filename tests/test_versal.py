@@ -994,7 +994,10 @@ def test_flatness_fails_a_phi_rescaled_above_the_representatives(monkeypatch, fr
 def test_flatness_fails_a_generator_perturbed_only_at_level_five(monkeypatch, fresh_caches):
     """F(1, 2, 5) changed at n=5 alone: every level-8 generator is intact
     and the literal lift at level 8 passes, but the transport reads the
-    level-5 lifts, so flatness at n=8 is not certified."""
+    level-5 lifts, so flatness at n=8 is not certified.  The level-5
+    generators are also checked against their level-4 representatives
+    on their own: a level-5 lift that passed with a generator that is
+    not the renamed representative would certify nothing at level 8."""
     original = versal._family_gen
 
     def shifted(m, i, j, l, k):
@@ -1006,6 +1009,8 @@ def test_flatness_fails_a_generator_perturbed_only_at_level_five(monkeypatch, fr
     (check,) = run_suite("flatness", (8, 8)).checks
     assert check.status == "FAIL"
     assert check.details == "n=8: flatness not transported, the relation of (1, 2, 3, 5) does not lift at n=5"
+    monkeypatch.setattr(versal, "_lift", lambda m, basis: ())
+    assert versal._transport_break(8) == "F(1, 2, 5) at n=5 is not its renamed representative"
 
 
 def test_flatness_is_not_certified_without_a_minimal_quadric(monkeypatch, fresh_caches):
