@@ -8,9 +8,9 @@ phi_ijk = a_ij*a_ik + a_ji*a_jk + a_ki*a_kj.  All verification here is
 exact: first-order deformations are solved as rational linear systems,
 flatness is certified by explicit cofactors (each lifted relation equals
 a sum of variables times base quadrics, term by term, with no Groebner
-basis; the lifts of levels 4 and 5 are built literally and carried to
-level n by index renamings, once every generator and phi_abc at level n
-is checked to be its renamed representative), and the explicit
+basis; the lifts of level 5 are built literally and carried to level
+n by index renamings, once every generator and phi_abc at level n is
+checked to be its renamed representative), and the explicit
 smoothings and monomial-curve families are checked generator by
 generator.  Every base
 quadric is built from its (triple, sign) pairs, a signed sum of phi_abc.
@@ -25,7 +25,10 @@ rank and the incidence sums behind the flatness cofactors, and the
 antisymmetry and four-term identities of the quadrics are read that
 way, with no quadric eliminated; the induction step runs the
 certificate once, at its level n, and the flatness check at its level
-n and at levels 4 and 5, whose lifts it transports.
+n and at level 5, whose lifts it transports.  The y-eliminations of
+the lines and of the closed n = 4 presentation put the y-free part of
+their first generator in for y and compare spans, with no Groebner
+basis.
 """
 
 from __future__ import annotations
@@ -318,10 +321,38 @@ def span_rank(polys: Sequence[Polynomial]) -> int:
     return Span().add(p.terms for p in polys)
 
 
+def _same_span(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
+    """Whether ``a`` and ``b`` span one space over their monomials.  Equal
+    spans generate equal ideals; for systems of homogeneous quadrics the
+    converse holds too, as the degree-2 part of their ideal is their
+    span, so then this decides equality of the ideals."""
+    return span_rank(a) == span_rank(b) == span_rank([*a, *b])
+
+
 class CertificateError(ValueError):
     """A rank or identity read from phi-coordinates is not certified: the
     phi_abc are not independent, or the two bounds on a rank do not meet;
-    or a renaming that transports the flatness lifts does not hold."""
+    or a renaming that transports the flatness lifts does not hold; or y
+    is not eliminated by a linear generator."""
+
+
+def _eliminates_y_to(gens: Sequence[Polynomial], y_free: Sequence[Polynomial]) -> bool:
+    """Whether eliminating y from the ideal of ``gens`` gives the ideal of
+    ``y_free``, decided with no Groebner basis.  When gens[0] is f - y
+    with f free of y, y = f modulo the ideal, so the contraction to the
+    ring without y is generated by the other generators with f put in for
+    y; that system and ``y_free`` are compared by ``_same_span``, so a
+    True holds for any systems and a False is exact when both are
+    homogeneous quadrics, as at every caller.  CertificateError when
+    gens[0] is not of that form."""
+    f = gens[0] + Polynomial.var(gens[0].reg, "y")
+    if gens[0].reg.position("y") in f.variables():
+        raise CertificateError(
+            "y is not eliminated: the first generator is not f - y with f free of y"
+        )
+    target = y_free[0].reg
+    assign = {"y": substitute(f, {}, target=target)}
+    return _same_span([substitute(g, assign, target=target) for g in gens[1:]], y_free)
 
 
 PhiBasis = Dict[Triple, Triple]
@@ -381,22 +412,20 @@ def _bounded_rank(n: int, vectors: Iterable[Mapping[Triple, int]], what: str) ->
     otherwise.
 
     Upper: the incidence functionals f_t(e_abc) = [t in {a, b, c}] that
-    vanish on every vector annihilate their span, so the rank is at most
-    C(n,3) minus the rank of those functionals.  Lower: vectors whose
+    vanish on every vector annihilate their span, and for n >= 4 the n
+    functionals are independent: if sum lambda_t f_t = 0, the triples
+    {a, b, c} and {a, b, d} give lambda_c = lambda_d, so all lambda_t are
+    one lambda, and then 3 lambda = 0.  So the rank is at most C(n,3)
+    minus the number of functionals that vanish.  Lower: vectors whose
     largest keys (leads) differ form a triangular system, so the number
     of distinct leads is at most the rank.
     """
-    triples = list(itertools.combinations(range(1, n + 1), 3))
     leads = set()
     nonvanishing = set()
     for vec in vectors:
         leads.add(max(vec))
         nonvanishing.update(t for t, v in _incidence_sums(vec).items() if v)
-    annihilators = [
-        {key: 1 for key in triples if t in key}
-        for t in range(1, n + 1) if t not in nonvanishing
-    ]
-    lower, upper = len(leads), len(triples) - Span().add(annihilators)
+    lower, upper = len(leads), math.comb(n, 3) - (n - len(nonvanishing))
     if lower != upper:
         raise CertificateError(
             f"n={n}: {what} rank not certified, lower bound {lower}, upper bound {upper}"
@@ -848,20 +877,21 @@ def _transport_break(n: int) -> str:
     """The first link of the transport of the lifts to level n that
     fails, or "" when every link holds.
 
-    The links: the literal lifts at levels 4 and 5 pass; every ordering
-    of every phi_abc the level-4 and level-5 lifts read, and every sorted
-    phi_abc of the base ring at level n (whose orderings ``_phi_basis(n)``
-    has made equal to it), is the renamed phi_123; and at levels 5 and n
-    every generator F(x, y, w) at its canonical index c is its level-4
-    representative, renamed along the sorted {x, y, w, c}.  Level 4 is
-    its own representative."""
-    for m in (4, 5):
-        bad = [c.quadruple for c in _lift(m, _phi_basis(m)) if not c.ok]
-        if bad:
-            return f"the relation of {bad[0]} does not lift at n={m}"
+    The links: the literal lifts at level 5 pass; every ordering of
+    every phi_abc the level-5 lifts read, and every sorted phi_abc of the
+    base ring at level n (whose orderings ``_phi_basis(n)`` has made
+    equal to it), is the renamed phi_123; and at levels 5 and n every
+    generator F(x, y, w) at its canonical index c is its level-4
+    representative, renamed along the sorted {x, y, w, c}.  The level-4
+    generators serve only as representatives: the level-4 quadruples are
+    level-5 quadruples, and a triple inside {1..4} keeps its canonical
+    index at level 5, so the level-5 lifts of those quadruples are their
+    level-4 lifts."""
+    bad = [c.quadruple for c in _lift(5, _phi_basis(5)) if not c.ok]
+    if bad:
+        return f"the relation of {bad[0]} does not lift at n=5"
     ref = _phi(base_registry(3), 1, 2, 3)
     for m, reg, triples in (
-        (4, versal_registry(4), itertools.permutations(range(1, 5), 3)),
         (5, versal_registry(5), itertools.permutations(range(1, 6), 3)),
         (n, base_registry(n), itertools.combinations(range(1, n + 1), 3)),
     ):
@@ -890,15 +920,17 @@ def verify_flatness(n: int) -> FlatnessReport:
     generators and certify the obstruction with explicit cofactors.
 
     At n = 4 and 5 every relation is lifted literally (``_lift``).  At
-    n >= 6 the lifts are transported from those two levels.  The
-    relation of a quadruple Q reads only the indices S of Q and the
-    canonical indices of its triples.  With a the smallest index outside
-    Q, S is Q plus a when a < max Q, else Q, so |S| <= 5.  Every index
-    below a canonical index lies in S, so the order-preserving map sigma
-    of S onto 1..|S| fixes each canonical index.  The renaming
+    n >= 6 the lifts are transported from level 5.  The relation of a
+    quadruple Q reads only the indices S of Q and the canonical indices
+    of its triples.  With a the smallest index outside Q, S is Q plus a
+    when a < max Q, else Q, so |S| <= 5.  Every index below a canonical
+    index lies in S, so the order-preserving map sigma of S onto 1..|S|
+    fixes each canonical index, and sigma(Q) is a level-5 quadruple whose
+    lift at level 5 reads the canonical indices of level |S| (a triple
+    inside {1..4} keeps its canonical index at level 5).  The renaming
     z_a -> z_sigma^-1(a), a_pq -> a_sigma^-1(p)sigma^-1(q) is an
     injective ring map that keeps a_ji = -a_ij, so it carries the
-    literal lift of sigma(Q) at level |S| to the lift of Q at level n,
+    literal lift of sigma(Q) at level 5 to the lift of Q at level n,
     once every generator the two lifts read, and every phi_abc of their
     cofactor quadrics, is the renaming of one representative
     (``_transport_break``).  Renaming
@@ -1098,7 +1130,7 @@ def pfaffian_check() -> PfaffianReport:
         pfaffians.append(p1)
     quadratic = all(p.total_degree() == 2 for p in pfaffians)
     W = minimal_base_quadrics(5)
-    eq = quadratic and span_rank(pfaffians) == span_rank(W) == span_rank(pfaffians + W)
+    eq = quadratic and _same_span(pfaffians, W)
     return PfaffianReport(
         entries=tuple(sorted(_PFAFFIAN_UPPER.items())),
         pfaffians=tuple(pfaffians),
@@ -1527,12 +1559,15 @@ class NiceFormulaReport:
     ok: bool
 
 
-def nice_total_space_check(budget: Budget = DEFAULT_BUDGET) -> NiceFormulaReport:
+def nice_total_space_check() -> NiceFormulaReport:
     """At n = 4 the total space has a closed presentation retaining y:
     G_ij = z_i z_j - y + a_ij z_i + a_ji z_j - phi_ijk - phi_ijl with
     {k, l} the complementary pair.  Check that the differences
     G_ij - G_il reproduce the family generators and that eliminating y
-    recovers the family ideal."""
+    recovers the family ideal.  G_12 + y is free of y, so y is eliminated
+    by putting G_12 + y in for it (``_eliminates_y_to``); both systems are
+    then homogeneous quadrics when deg z = deg a = 1, and their spans
+    decide.  No Groebner basis is computed."""
     reg = versal_registry(4)
     yv = Polynomial.var(reg, "y")
     g: Dict[tuple, Polynomial] = {}
@@ -1550,18 +1585,10 @@ def nice_total_space_check(budget: Budget = DEFAULT_BUDGET) -> NiceFormulaReport
     def gsym(i: int, j: int) -> Polynomial:
         return g[(i, j) if i < j else (j, i)]
 
-    differences_ok = True
-    for (i, j, l) in family_index_set(4):
-        if gsym(i, j) - gsym(i, l) != family_generator(i, j, l, 4):
-            differences_ok = False
-
-    eliminated = eliminate(Ideal(reg, list(g.values())), ["y"], budget)
-    ereg = eliminated.registry
-    family = [
-        substitute(family_generator(i, j, l, 4), {}, target=ereg)
-        for (i, j, l) in family_index_set(4)
-    ]
-    elimination_ok = ideal_equal(eliminated, Ideal(ereg, family), budget=budget)
+    index_set = family_index_set(4)
+    family = [family_generator(i, j, l, 4) for (i, j, l) in index_set]
+    differences_ok = all(gsym(i, j) - gsym(i, l) == f for (i, j, l), f in zip(index_set, family))
+    elimination_ok = _eliminates_y_to(list(g.values()), family)
     return NiceFormulaReport(
         differences_ok=differences_ok,
         elimination_ok=elimination_ok,

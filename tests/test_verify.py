@@ -9,6 +9,7 @@ import pytest
 
 from versaldef import curves, groebner, versal
 from versaldef.groebner import Budget
+from versaldef.poly import Polynomial, substitute
 from versaldef.report import FAIL, PASS, SKIPPED_BUDGET
 from versaldef.verify import ANCHORS, DEFAULT_RANGES, SUITES, _run, run_suite
 
@@ -299,3 +300,103 @@ def test_nonrational_lines_need_no_groebner_basis(monkeypatch):
     rep = curves.nonrational_lines_check(6)
     assert rep.displayed_ok and not rep.uniform_wrap_ok
     assert calls == []
+
+
+def _groebner_y_elimination(gens, y_free):
+    """The Groebner oracle for ``versal._eliminates_y_to``, as the
+    generator-count and nice-presentation checks decided it before: a
+    block-order elimination of y, then a comparison of reduced bases."""
+    eliminated = groebner.eliminate(groebner.Ideal(gens[0].reg, list(gens)), ["y"])
+    ereg = eliminated.registry
+    y_free = [substitute(p, {}, target=ereg) for p in y_free]
+    return groebner.ideal_equal(eliminated, groebner.Ideal(ereg, y_free))
+
+
+def _record_y_eliminations(monkeypatch):
+    """Route ``versal._eliminates_y_to`` through a wrapper that records
+    the oracle's verdict on each call before the check decides it."""
+    real = versal._eliminates_y_to
+    verdicts = []
+
+    def recording(gens, y_free):
+        verdicts.append(_groebner_y_elimination(gens, y_free))
+        return real(gens, y_free)
+
+    monkeypatch.setattr(versal, "_eliminates_y_to", recording)
+    return verdicts
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_generator_count_agrees_with_the_groebner_oracle(monkeypatch, n):
+    verdicts = _record_y_eliminations(monkeypatch)
+    checks = {c.id: c for c in run_suite("counts", (n, n)).checks}
+    assert checks[f"generator-count-n{n}"].status == PASS
+    assert verdicts == [True] * (2 if n == 4 else 1)
+
+
+def _g34_plus_z3_squared(gens):
+    reg = gens[0].reg
+    k = gens.index(curves.line_generator(reg, 3, 4))
+    return gens[:k] + [gens[k] + Polynomial.var(reg, "z3") ** 2] + gens[k + 1:]
+
+
+def _twice_g34(gens):
+    k = gens.index(curves.line_generator(gens[0].reg, 3, 4))
+    return gens[:k] + [2 * gens[k]] + gens[k + 1:]
+
+
+def _g12_plus_y_squared(gens):
+    return [gens[0] + Polynomial.var(gens[0].reg, "y") ** 2] + gens[1:]
+
+
+@pytest.mark.parametrize("mutate,status,details", [
+    (_g34_plus_z3_squared, FAIL, "14 generators of rank 14, expected 14; generate the eliminated ideal: False"),
+    (_twice_g34, PASS, "14 generators of rank 14, expected 14; generate the eliminated ideal: True"),
+    (_g12_plus_y_squared, FAIL, "y is not eliminated: the first generator is not f - y with f free of y"),
+], ids=["g34-plus-z3-squared", "twice-g34", "g12-plus-y-squared"])
+def test_generator_count_mutants_agree_with_the_groebner_oracle(monkeypatch, mutate, status, details):
+    """The check decides the ideal, not the literal generators: a
+    rescaled generator passes, a bent one fails, and a first generator
+    that is not f - y fails with that premise named."""
+    real = curves.lines_ideal
+
+    def lines_ideal(n, presentation=curves.G_FORM):
+        ideal = real(n, presentation)
+        if presentation != curves.G_FORM:
+            return ideal
+        return groebner.Ideal(ideal.registry, mutate(list(ideal.generators)))
+
+    monkeypatch.setattr(curves, "lines_ideal", lines_ideal)
+    verdicts = _record_y_eliminations(monkeypatch)
+    (check, _) = run_suite("counts", (6, 6)).checks
+    assert (check.status, check.details) == (status, details)
+    assert verdicts == [status == PASS]
+
+
+def test_y_eliminations_run_no_groebner_basis(monkeypatch):
+    """With ``buchberger``, ``eliminate`` and ``ideal_equal`` refused
+    under every name the package binds them to, the counts suite and the
+    closed n = 4 presentation still pass; at n = 4 and 5 only
+    ``syzygies`` runs the engine."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("versaldef"):
+            for fn in ("buchberger", "eliminate", "ideal_equal"):
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, refuse)
+    runs = []
+
+    class Recording(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self.record)
+
+    monkeypatch.setattr(groebner, "_Engine", Recording)
+    assert run_suite("counts", (6, 8)).ok
+    assert versal.nice_total_space_check().ok
+    assert runs == []
+    assert run_suite("counts", (4, 5)).ok
+    assert runs == [True, True]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_verify import _record_buchberger
+from test_verify import _record_buchberger, _record_y_eliminations
 
 from versaldef import groebner, versal
 from versaldef.curves import RelationFamily, _relation_quadruples, relations, t2_formula
@@ -912,7 +912,9 @@ def test_each_quadruple_is_a_renamed_level_four_or_five_quadruple(n):
     else Q; the order-preserving sigma of S onto 1..|S| fixes every
     canonical index and carries the lift terms of Q to those of sigma(Q)
     at level |S|; and the sigma(Q) are the 30 quadruples of levels 4
-    and 5, up to the six of level 4 seen again at level 5."""
+    and 5, up to the six of level 4 seen again at level 5.  Each is a
+    level-5 quadruple whose lift terms keep their canonical indices at
+    level 5, so the level-5 lifts alone represent every class."""
     classes = set()
     for q in _relation_quadruples(n):
         terms = versal._lift_terms(*q)
@@ -931,6 +933,9 @@ def test_each_quadruple_is_a_renamed_level_four_or_five_quadruple(n):
         assert [canonical_fourth_index(*xyw, len(S)) for _, _, xyw, _ in renamed] == [
             canonical_fourth_index(*xyw, n) for _, _, xyw, _ in terms]
         classes.add(rep)
+        assert rep in _relation_quadruples(5)
+        assert [canonical_fourth_index(*xyw, 5) for _, _, xyw, _ in renamed] == [
+            canonical_fourth_index(*xyw, n) for _, _, xyw, _ in terms]
     assert len(classes) == (6 if n == 4 else 30)
     level4 = set(_relation_quadruples(4))
     assert classes <= level4 | set(_relation_quadruples(5))
@@ -1011,6 +1016,30 @@ def test_flatness_fails_a_generator_perturbed_only_at_level_five(monkeypatch, fr
     assert check.details == "n=8: flatness not transported, the relation of (1, 2, 3, 5) does not lift at n=5"
     monkeypatch.setattr(versal, "_lift", lambda m, basis: ())
     assert versal._transport_break(8) == "F(1, 2, 5) at n=5 is not its renamed representative"
+
+
+def test_flatness_fails_a_phi_perturbed_only_at_level_five(monkeypatch, fresh_caches):
+    """phi_125 doubled in the level-5 family ring alone: every level-8
+    lift passes, but the level-5 lifts read phi_125 in their cofactor
+    quadrics, so flatness at n=8 is not certified; and with the literal
+    lifts stubbed out, the level-5 phi renaming check still breaks, as a
+    level-5 lift whose cofactor quadrics are not renamings of one phi
+    certifies nothing at level 8."""
+    vreg = versal_registry(5)
+    original = versal._phi
+
+    def scaled(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return 2 * p if reg == vreg and sorted((i, j, k)) == [1, 2, 5] else p
+
+    monkeypatch.setattr(versal, "_phi", scaled)
+    assert all(c.ok for c in _literal_flatness(8))
+    (check,) = run_suite("flatness", (8, 8)).checks
+    assert check.status == "FAIL"
+    assert check.details.startswith("n=8: flatness not transported, the relation of ")
+    assert check.details.endswith(" does not lift at n=5")
+    monkeypatch.setattr(versal, "_lift", lambda m, basis: ())
+    assert versal._transport_break(8) == "phi(1, 2, 5) at n=5 is not the renamed phi(1, 2, 3)"
 
 
 def test_flatness_is_not_certified_without_a_minimal_quadric(monkeypatch, fresh_caches):
@@ -1261,10 +1290,10 @@ def test_ideal_equalities_need_no_groebner_basis(monkeypatch):
 
 
 def test_induction_eliminates_no_quadric(monkeypatch):
-    """Every row eliminated during the induction step is an incidence
-    functional keyed by sorted triples: n - 1 for the carried rank and n
-    for each of the combined and target ranks.  No quadric and no
-    phi_abc is eliminated over the monomials."""
+    """No row is eliminated during the induction step: every rank is
+    read from phi-coordinates, and its upper bound counts the incidence
+    functionals that vanish, which are independent for n >= 4.  No
+    quadric, phi_abc or functional is eliminated over the monomials."""
     from versaldef.linalg import Span, SparseEliminator
 
     n = 6
@@ -1276,14 +1305,23 @@ def test_induction_eliminates_no_quadric(monkeypatch):
     )
     report = base_equals_total(n)
     assert report.ok
-    assert len(rows) == len(keyed) == (n - 1) + 2 * n
-    for row in keyed:
-        assert all(len(key) == 3 and list(key) == sorted(set(key)) for key in row), row
-        assert all(isinstance(t, int) for key in row for t in key), row
-        assert set(row.values()) == {1}
+    assert rows == keyed == []
     substituted, carried = _induction_systems(n)
     assert report.carried_rank == span_rank(carried)
     assert report.combined_rank == span_rank(carried + substituted)
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_incidence_functionals_are_independent(n):
+    """The lemma behind the upper bound of ``_bounded_rank``: the n
+    incidence functionals f_t(e_abc) = [t in {a, b, c}] have rank n for
+    n >= 4 (at n = 3 all three are the one functional on e_123)."""
+    def functionals(m):
+        triples = list(itertools.combinations(range(1, m + 1), 3))
+        return [{key: 1 for key in triples if t in key} for t in range(1, m + 1)]
+
+    assert Span().add(functionals(n)) == n
+    assert Span().add(functionals(3)) == 1
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -1554,8 +1592,28 @@ def test_base_ideal_generator_counts():
     assert len(base_ideal(5, minimal=True).generators) == 5
 
 
-def test_nice_total_space():
+def test_nice_total_space(monkeypatch):
+    verdicts = _record_y_eliminations(monkeypatch)
     rep = nice_total_space_check()
     assert rep.ok
     assert rep.differences_ok
     assert rep.elimination_ok
+    assert verdicts == [True]
+
+
+def test_nice_total_space_fails_a_bent_generator(monkeypatch):
+    """G_34 + z3^2 (phi_341 lowered by z3^2 in the family ring): the
+    y-free system no longer spans the family, and the Groebner oracle
+    agrees that the eliminated ideal changed."""
+    vreg = versal_registry(4)
+    original = versal._phi
+
+    def bent(reg, i, j, k):
+        p = original(reg, i, j, k)
+        return p - Polynomial.var(reg, "z3") ** 2 if (reg, i, j, k) == (vreg, 3, 4, 1) else p
+
+    monkeypatch.setattr(versal, "_phi", bent)
+    verdicts = _record_y_eliminations(monkeypatch)
+    rep = nice_total_space_check()
+    assert not rep.elimination_ok and not rep.ok
+    assert verdicts == [False]
