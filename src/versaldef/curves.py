@@ -188,7 +188,7 @@ class RelationFamily:
     ranked in order.  It is all that the first-order lifting needs: the
     lifting conditions of a combination sum_t c_t*b_t of relation
     vectors are the same combination of the conditions of each b_t,
-    because a normal form is linear, so the basis spans every condition
+    because the quotient map is linear, so the basis spans every condition
     row the whole family gives.
 
     Only the basis vectors are checked to annihilate the generators,

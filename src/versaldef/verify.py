@@ -122,17 +122,17 @@ def _suite_identities(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
 
 def _suite_t1t2(n: int, budget: Budget, rng) -> Iterator[CheckSpec]:
     def t1_dim():
-        r = versal.t1_compute(n, budget)
+        r = versal.t1_compute(n)
         expect = curves.elliptic_t1_formula(n, n + 1)
         ok = r.dimension == expect
         return ok, f"dimension {r.dimension}, expected {expect}"
 
     def t1_deg2():
-        r = versal.t1_compute(n, budget)
+        r = versal.t1_compute(n)
         return r.by_degree[-2] == 0, f"degree -2 part has dimension {r.by_degree[-2]}"
 
     def t1_basis():
-        r = versal.t1_compute(n, budget)
+        r = versal.t1_compute(n)
         return r.basis_ok, f"detail: {dict(r.detail)}"
 
     def t2():

@@ -6,7 +6,10 @@ out by the generators F produced by ``family_generator`` and its base
 space by the quadrics built from the fully symmetric expressions
 phi_ijk = a_ij*a_ik + a_ji*a_jk + a_ki*a_kj.  All verification here is
 exact: first-order deformations are solved as rational linear systems,
-flatness is certified by explicit cofactors (each lifted relation equals
+whose conditions are read off the generators z_i*z_j - y of the lines
+(in weights 1 and 2, where every condition lives, their ideal is the
+span of the generators, so no Groebner basis is read), flatness is
+certified by explicit cofactors (each lifted relation equals
 a sum of variables times base quadrics, term by term, with no Groebner
 basis; the lifts of level 5 are built literally and carried to level
 n by index renamings, once every generator and phi_abc at level n is
@@ -60,7 +63,6 @@ from .groebner import (
     buchberger,
     eliminate,
     ideal_equal,
-    normal_form,
 )
 from .linalg import Span, SparseEliminator, in_kernel, solve
 from .poly import (
@@ -333,7 +335,8 @@ class CertificateError(ValueError):
     """A rank or identity read from phi-coordinates is not certified: the
     phi_abc are not independent, or the two bounds on a rank do not meet;
     or a renaming that transports the flatness lifts does not hold; or y
-    is not eliminated by a linear generator."""
+    is not eliminated by a linear generator; or the lines are not cut
+    out by z_i*z_j - y, as the T1 lifting conditions assume."""
 
 
 def _eliminates_y_to(gens: Sequence[Polynomial], y_free: Sequence[Polynomial]) -> bool:
@@ -631,23 +634,25 @@ class T1Result:
     detail: Mapping[str, int]
 
 
-@lru_cache(maxsize=None)
-def _lines_gb(n: int, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
-    return buchberger(lines_ideal(n), budget=budget)
-
-
 def _lifting_conditions(
-    vectors: Sequence[tuple], shifts: Sequence[Mono], gb: GroebnerBasis, budget: Budget
+    vectors: Sequence[tuple], shifts: Sequence[Mono], ideal: Ideal
 ) -> SparseEliminator:
-    """The first-order lifting conditions of one weight, eliminated.
+    """The first-order lifting conditions of one weight modulo the
+    lines' ideal ``ideal``, eliminated.
 
     Each relation vector r is given by its nonzero slots, as (p, r_p)
     pairs in ascending p.  The unknown in column p*len(shifts) + s is
     the coefficient of the monomial shifts[s] in the perturbation of
     generator p.  A relation vector r lifts iff sum_p r_p *
-    perturbation_p reduces to zero modulo the ideal of ``gb``; each
-    monomial of that normal form is one linear condition on the
-    unknowns.
+    perturbation_p lies in the ideal.  That sum has weight 2 or 1 (z of
+    weight 1, y of weight 2), where the ideal is the span of its
+    generators: each is m_p - y with m_p a product of two distinct z's,
+    and no two m_p are equal, so I_1 = 0 and I_2 = span{m_p - y}.  The
+    linear map that sends each m_p to y and every other monomial to
+    itself has kernel exactly I_2, so the sum lifts iff its image is
+    zero, and each monomial of the image is one linear condition on the
+    unknowns; no Groebner basis is read.  CertificateError when a
+    generator is not of that form.
 
     The rows are fed last row first: the last vector first, and within
     each vector its last condition first.  The rank does not depend on
@@ -657,46 +662,54 @@ def _lifting_conditions(
     weight -1 system is eliminated about nine times faster than in the
     forward order.
     """
+    y = ((ideal.registry.position("y"), 1),)
+    quotient: Dict[Mono, Mono] = {}
+    for g in ideal.generators:
+        m = next((t for t in g.terms if t != y), MONO_ONE)
+        # g is m - y with m = z_a*z_b, a != b, met for the first time
+        if g.terms != {m: 1, y: -1} or [e for _, e in m] != [1, 1] or y[0] in m or m in quotient:
+            raise CertificateError("the lines are not cut out by z_i*z_j - y")
+        quotient[m] = y
     elim = SparseEliminator()
-    nf: Dict[Mono, dict] = {}
     for vec in reversed(vectors):
         cond: Dict[Mono, Dict[int, Scalar]] = {}
         for p, entry in vec:
             for mono, c in entry.terms.items():
                 for s, shift in enumerate(shifts):
                     prod = mono_mul(mono, shift)
-                    if prod not in nf:
-                        nf[prod] = normal_form(Polynomial(gb.registry, {prod: 1}), gb, budget).terms
+                    row = cond.setdefault(quotient.get(prod, prod), {})
                     u = p * len(shifts) + s
-                    for m, d in nf[prod].items():
-                        row = cond.setdefault(m, {})
-                        row[u] = row.get(u, 0) + c * d
+                    row[u] = row.get(u, 0) + c
         for row in reversed(cond.values()):
             elim.add(row)
     return elim
 
 
 @lru_cache(maxsize=None)
-def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
+def t1_compute(n: int) -> T1Result:
     """Solve the first-order lifting conditions for perturbations of
     the quadric generators by polynomials of degree at most 1, quotient
     out the coordinate-change directions, and certify the standard
     basis G_ij = z_i*z_j - y + a_ij*(z_i - z_j).
 
     The conditions come from lifting the distinguished relations
-    (``curves.relations``), and only their basis is lifted: normal
-    forms are linear, so the conditions of a combination sum_t c_t*b_t
-    of relation vectors are the same combination of the conditions of
-    each b_t, and the basis gives the same span of condition rows as
-    every vector would.  The linear system splits by weight:
-    z-perturbations sit in weighted degree -1 and constant perturbations
-    in degree -2, and the lifting conditions never mix the two, so the
-    parts are solved separately.
+    (``curves.relations``), and only their basis is lifted: the
+    quotient map is linear, so the conditions of a combination
+    sum_t c_t*b_t of relation vectors are the same combination of the
+    conditions of each b_t, and the basis gives the same span of
+    condition rows as every vector would.  The linear system splits by
+    weight: z-perturbations sit in weighted degree -1 and constant
+    perturbations in degree -2, and the lifting conditions never mix the
+    two, so the parts are solved separately.  In both weights the
+    lines' ideal is the span of its generators, so the conditions are
+    read off the generators with no Groebner basis
+    (``_lifting_conditions``); CertificateError when a generator is not
+    z_i*z_j - y.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     reg = lines_registry(n)
-    gb = _lines_gb(n, budget)
+    ideal = lines_ideal(n)
     fam = relations(n)
     pairs = fam.pairs
     npairs = len(pairs)
@@ -704,7 +717,7 @@ def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
     # weighted degree -1: column c*n + m-1 is the coefficient of z_m in
     # the perturbation of the generator of pair c
     elim1 = _lifting_conditions(
-        fam.basis, [((reg.position(f"z{m}"), 1),) for m in range(1, n + 1)], gb, budget
+        fam.basis, [((reg.position(f"z{m}"), 1),) for m in range(1, n + 1)], ideal
     )
     nunk1 = npairs * n
     solution_dim1 = nunk1 - elim1.rank
@@ -732,7 +745,7 @@ def t1_compute(n: int, budget: Budget = DEFAULT_BUDGET) -> T1Result:
 
     # weighted degree -2: column c is the constant perturbation of the
     # generator of pair c
-    elim2 = _lifting_conditions(fam.basis, [MONO_ONE], gb, budget)
+    elim2 = _lifting_conditions(fam.basis, [MONO_ONE], ideal)
     solution_dim2 = npairs - elim2.rank
     shift_ok = in_kernel([{c: -1 for c in range(npairs)}], elim2)  # y -> y + constant
     dim2 = solution_dim2 - 1

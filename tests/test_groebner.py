@@ -371,10 +371,10 @@ def _all_ints(polys):
 
 
 def test_integral_bases_have_int_coefficients():
-    from versaldef.versal import _lines_gb, base_ideal
+    from versaldef.versal import base_ideal
 
     assert _all_ints(buchberger(base_ideal(6, minimal=True)).basis)
-    assert _all_ints(_lines_gb(6).basis)
+    assert _all_ints(buchberger(curves.lines_ideal(6)).basis)
 
 
 def test_non_unit_leading_coefficient_gives_exact_basis():

@@ -176,15 +176,10 @@ def test_budget_exhaustion_reports_skip():
 
 
 def test_t1t2_runs_under_the_suite_budget():
-    rep = run_suite("t1t2", (5, 5), budget=Budget(max_pairs=1))
-    statuses = {c.id: c.status for c in rep.checks}
-    assert statuses == {
-        "t1-dimension-n5": SKIPPED_BUDGET,
-        "t1-degree-minus-two-n5": SKIPPED_BUDGET,
-        "t1-basis-n5": SKIPPED_BUDGET,
-        "t2-dimension-n5": PASS,  # no Groebner work needed
-    }
-    assert run_suite("t1t2", (5, 5)).ok  # the default budget is not poisoned
+    """t1t2 runs no Groebner basis, so no budget can cut it short."""
+    versal.t1_compute.cache_clear()
+    rep = run_suite("t1t2", (4, 8), budget=Budget(max_pairs=1, max_terms=1))
+    assert [c.status for c in rep.checks] == [PASS] * 20
 
 
 def test_seeded_run_is_deterministic_and_samples_extra_point():
@@ -373,18 +368,18 @@ def test_generator_count_mutants_agree_with_the_groebner_oracle(monkeypatch, mut
     assert verdicts == [status == PASS]
 
 
-def test_y_eliminations_run_no_groebner_basis(monkeypatch):
-    """With ``buchberger``, ``eliminate`` and ``ideal_equal`` refused
-    under every name the package binds them to, the counts suite and the
-    closed n = 4 presentation still pass; at n = 4 and 5 only
-    ``syzygies`` runs the engine."""
+def _refuse_groebner(monkeypatch):
+    """Refuse ``buchberger``, ``normal_form``, ``eliminate`` and
+    ``ideal_equal`` under every name the package binds them to, and
+    record each run of the Groebner engine by whether it records
+    syzygies."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Groebner basis was computed")
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("versaldef"):
-            for fn in ("buchberger", "eliminate", "ideal_equal"):
+            for fn in ("buchberger", "normal_form", "eliminate", "ideal_equal"):
                 if hasattr(mod, fn):
                     monkeypatch.setattr(mod, fn, refuse)
     runs = []
@@ -395,6 +390,21 @@ def test_y_eliminations_run_no_groebner_basis(monkeypatch):
             runs.append(self.record)
 
     monkeypatch.setattr(groebner, "_Engine", Recording)
+    return runs
+
+
+def test_t1t2_runs_no_groebner_basis(monkeypatch):
+    runs = _refuse_groebner(monkeypatch)
+    versal.t1_compute.cache_clear()
+    assert run_suite("t1t2", (4, 8)).ok
+    assert runs == []
+
+
+def test_y_eliminations_run_no_groebner_basis(monkeypatch):
+    """With the Groebner entry points refused, the counts suite and the
+    closed n = 4 presentation still pass; at n = 4 and 5 only
+    ``syzygies`` runs the engine."""
+    runs = _refuse_groebner(monkeypatch)
     assert run_suite("counts", (6, 8)).ok
     assert versal.nice_total_space_check().ok
     assert runs == []

@@ -6,6 +6,7 @@ Each identity check comes with a mutation guard: a deliberately
 perturbed version of the expression must fail, so a vacuous checker
 cannot pass silently."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -15,16 +16,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_verify import _record_buchberger, _record_y_eliminations
+from test_verify import _record_buchberger, _record_y_eliminations, _twice_g34
 
 from versaldef import groebner, versal
-from versaldef.curves import RelationFamily, _relation_quadruples, relations, t2_formula
-from versaldef.groebner import (
-    DEFAULT_BUDGET, GroebnerBasis, Ideal, block_order, buchberger, ideal_equal, normal_form,
+from versaldef.curves import (
+    RelationFamily, _relation_quadruples, line_generator, relations, t2_formula,
 )
-from versaldef.linalg import Span
+from versaldef.groebner import (
+    GroebnerBasis, Ideal, block_order, buchberger, normal_form,
+)
+from versaldef.linalg import Span, SparseEliminator
 from versaldef.poly import (
-    Polynomial, build_registry, mono_degree, parse, substitute, sum_of_products,
+    Polynomial, build_registry, mono_degree, mono_mul, parse, substitute, sum_of_products,
 )
 from versaldef.verify import run_suite
 from versaldef.versal import (
@@ -635,8 +638,7 @@ _T1_ROWS_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(_T1_ROWS_SHA256))
 def test_t1_lifting_rows_are_pinned(n, monkeypatch):
-    # built first: buchberger and the relation basis feed SparseEliminator too
-    versal._lines_gb(n, DEFAULT_BUDGET)
+    # built first: the relation basis feeds SparseEliminator too
     relations(n).basis
     digest = hashlib.sha256()
     real = versal.SparseEliminator.add
@@ -652,6 +654,101 @@ def test_t1_lifting_rows_are_pinned(n, monkeypatch):
     finally:
         t1_compute.cache_clear()
     assert digest.hexdigest() == _T1_ROWS_SHA256[n]
+
+
+def _groebner_lifting_conditions(vectors, shifts, ideal):
+    """The oracle for ``versal._lifting_conditions``: each product
+    monomial reduced to its normal form modulo buchberger(ideal), and
+    each monomial of that normal form one condition row, with no premise
+    on the generators."""
+    gb = buchberger(ideal)
+    elim = SparseEliminator()
+    nf = {}
+    for vec in reversed(vectors):
+        cond = {}
+        for p, entry in vec:
+            for mono, c in entry.terms.items():
+                for s, shift in enumerate(shifts):
+                    prod = mono_mul(mono, shift)
+                    if prod not in nf:
+                        nf[prod] = normal_form(Polynomial(gb.registry, {prod: 1}), gb).terms
+                    u = p * len(shifts) + s
+                    for m, d in nf[prod].items():
+                        row = cond.setdefault(m, {})
+                        row[u] = row.get(u, 0) + c * d
+        for row in reversed(cond.values()):
+            elim.add(row)
+    return elim
+
+
+@contextlib.contextmanager
+def _groebner_t1(monkeypatch):
+    """Inside the block, t1_compute lifts through the Groebner oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(versal, "_lifting_conditions", _groebner_lifting_conditions)
+        t1_compute.cache_clear()
+        try:
+            yield
+        finally:
+            t1_compute.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_t1_quotient_map_matches_the_groebner_oracle(n, monkeypatch):
+    with _groebner_t1(monkeypatch):
+        oracle = t1_compute(n)
+    assert t1_compute(n) == oracle
+
+
+def _g12_plus_z1_squared(gens):
+    return [gens[0] + Polynomial.var(gens[0].reg, "z1") ** 2] + gens[1:]
+
+
+def _g34_repeats_g35(gens):
+    reg = gens[0].reg
+    k = gens.index(line_generator(reg, 3, 4))
+    return gens[:k] + [line_generator(reg, 3, 5)] + gens[k + 1:]
+
+
+def _g34_dropped(gens):
+    return [g for g in gens if g != line_generator(gens[0].reg, 3, 4)]
+
+
+_PREMISE = "the lines are not cut out by z_i*z_j - y"
+
+
+@pytest.mark.parametrize("mutate,statuses,details", [
+    (_g12_plus_z1_squared, "FFF", _PREMISE),
+    (_twice_g34, "FFF", _PREMISE),
+    (_g34_repeats_g35, "FFF", _PREMISE),
+    (_g34_dropped, "FPF", "dimension 7, expected 15"),
+    (lambda gens: gens[::-1], "PPP", "dimension 15, expected 15"),
+], ids=["g12-plus-z1-squared", "twice-g34", "g34-repeats-g35", "g34-dropped", "reversed"])
+def test_t1_mutants_pass_only_where_the_groebner_oracle_does(
+    monkeypatch, fresh_caches, mutate, statuses, details
+):
+    """A generator that is not z_i*z_j - y, or a product met twice,
+    fails the three t1 checks with the premise named, even where the
+    ideal is unchanged; a system of that form gives the oracle's
+    T1Result, so it passes exactly where the oracle does."""
+    real = versal.lines_ideal
+
+    def lines_ideal(n):
+        ideal = real(n)
+        return Ideal(ideal.registry, mutate(list(ideal.generators)))
+
+    monkeypatch.setattr(versal, "lines_ideal", lines_ideal)
+    with _groebner_t1(monkeypatch):
+        oracle = run_suite("t1t2", (6, 6)).checks
+        oracle_t1 = t1_compute(6)
+    checks = run_suite("t1t2", (6, 6)).checks
+    assert "".join(c.status[0] for c in checks) == statuses + "P"  # t2 reads no line
+    assert checks[0].details == details
+    if details == _PREMISE:
+        assert all(c.details == _PREMISE for c in checks[:3])
+    else:
+        assert t1_compute(6) == oracle_t1
+    assert all(c.status != "PASS" or o.status == "PASS" for c, o in zip(checks, oracle))
 
 
 def test_t1_rejects_small_n():
@@ -1080,20 +1177,19 @@ def test_flatness_fails_cofactor_quadrics_outside_the_minimal_span(monkeypatch):
 
 def test_flatness_reads_no_groebner_basis(monkeypatch, fresh_caches):
     calls = Counter()
-    for mod in (groebner, versal):
-        for name in ("buchberger", "normal_form"):
-            original = getattr(mod, name)
+    for mod, name in ((groebner, "buchberger"), (groebner, "normal_form"), (versal, "buchberger")):
+        original = getattr(mod, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(mod, name, counting)
+        monkeypatch.setattr(mod, name, counting)
     assert verify_flatness(7).ok
     assert calls == Counter()
-    # the wrappers do see the engine: the T1 conditions reduce modulo a basis
-    t1_compute(4)
-    assert calls["buchberger"] and calls["normal_form"]
+    # the wrappers do see the engine: the base geometry builds a basis
+    versal._base_gb(5)
+    assert calls["buchberger"]
 
 
 # ---------------------------------------------------------------------------
