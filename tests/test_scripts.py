@@ -137,6 +137,18 @@ def test_bench_grid_rejects_a_label_with_a_path_separator_before_any_cell(
     assert list(tmp_path.iterdir()) == []
 
 
+def _record_pins(monkeypatch):
+    """Record the CPU masks bench_grid asks for instead of setting them.
+
+    Pinned to the highest CPU of its mask, the test process and its
+    cells would run only as fast as that one CPU, which every other
+    process pinned the same way on the host shares; the grid's
+    bookkeeping does not depend on the pin, only its timings do."""
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append((pid, set(cpus))))
+    return pins
+
+
 def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
     bench_grid = _load("bench_grid")
     monkeypatch.setattr(bench_grid, "OUT_DIR", tmp_path)
@@ -145,13 +157,11 @@ def test_bench_grid_merges_cells_into_the_bench_file(tmp_path, monkeypatch):
         {"suite": "identities", "n": 4, "side": "change", "wall_s": 99.0},
         {"suite": "identities", "n": 4, "side": "parent", "wall_s": 98.0},
     ]}}))
-    affinity = os.sched_getaffinity(0)
-    try:
-        assert bench_grid.main(
-            ["--suite", "identities", "--from", "4", "--to", "5", "--label", "smoke"]
-        ) == 0
-    finally:
-        os.sched_setaffinity(0, affinity)
+    pins = _record_pins(monkeypatch)
+    assert bench_grid.main(
+        ["--suite", "identities", "--from", "4", "--to", "5", "--label", "smoke"]
+    ) == 0
+    assert pins == [(0, {max(os.sched_getaffinity(0))})]
     data = json.loads(path.read_text())
     assert data["label"] == "smoke"
     cells = {(c["n"], c["side"]): c for c in data["grid"]["cells"]}
@@ -180,14 +190,12 @@ def test_bench_grid_repeats_cells_and_alternates_sides(tmp_path, monkeypatch):
     src = SCRIPTS.parent / "src"
     other = tmp_path / "src"
     other.symlink_to(src, target_is_directory=True)
-    affinity = os.sched_getaffinity(0)
-    try:
-        assert bench_grid.main(
-            ["--suite", "axes", "--from", "4", "--to", "4", "--label", "smoke", "--repeats", "2",
-             "--src", str(src), "--side", "one", "--src", str(other), "--side", "two"]
-        ) == 0
-    finally:
-        os.sched_setaffinity(0, affinity)
+    pins = _record_pins(monkeypatch)
+    assert bench_grid.main(
+        ["--suite", "axes", "--from", "4", "--to", "4", "--label", "smoke", "--repeats", "2",
+         "--src", str(src), "--side", "one", "--src", str(other), "--side", "two"]
+    ) == 0
+    assert pins == [(0, {max(os.sched_getaffinity(0))})]
     assert order == [src.resolve(), other.resolve(), other.resolve(), src.resolve()]
     cells = json.loads((tmp_path / "BENCH_smoke.json").read_text())["grid"]["cells"]
     assert [(c["suite"], c["n"], c["side"]) for c in cells] == [("axes", 4, "one"), ("axes", 4, "two")]
